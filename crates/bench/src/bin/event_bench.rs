@@ -40,7 +40,7 @@ use vmtherm_sim::{
 };
 use vmtherm_units::Celsius;
 
-/// Fleet size; matches `fleet_bench` for comparable throughput numbers.
+/// Fleet size.
 const SERVERS: usize = 48;
 /// Scenario length in 1 Hz ticks: two hours, long enough that the
 /// steady-state tail dominates the dense warm-up transient.

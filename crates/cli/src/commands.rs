@@ -7,7 +7,6 @@ use std::fs;
 use vmtherm_core::dynamic::{DynamicConfig, DynamicPredictor};
 use vmtherm_core::eval::{evaluate_dynamic, AnchorPoint};
 use vmtherm_core::features::FeatureEncoding;
-use vmtherm_core::fleet::ShardedMonitor;
 use vmtherm_core::monitor::FleetMonitor;
 use vmtherm_core::stable::{
     dataset_from_outcomes, run_experiments, run_experiments_threaded, StablePredictor,
@@ -69,14 +68,13 @@ COMMANDS:
             --model MODEL [--dropout F=0] [--stuck F=0] [--spike P=0]
             [--jitter P=0] [--lost P=0] [--fault-seed S=64023]
             [--vms N=5] [--fans F=4] [--ambient C=24] [--secs T=1800]
-            [--burst-at SECS=900] [--gap G=60] [--seed S=7] [--threads T=1]
+            [--burst-at SECS=900] [--gap G=60] [--seed S=7]
             [--clock fixed|event]
             (--dropout/--stuck are target sample fractions lost to 45 s
             outage windows; --spike/--jitter/--lost are per-sample/event
-            probabilities; --threads shards the engine and monitor onto T
-            worker threads — results are bit-identical for every T;
-            --clock event lets thermally steady servers sleep between
-            sparse wake-ups, physics bit-identical to fixed stepping)
+            probabilities; --clock event lets thermally steady servers
+            sleep between sparse wake-ups, physics bit-identical to fixed
+            stepping)
   watchdog  simulate a silent fan failure and report when the residual
             watchdog raises the alarm
             --model MODEL [--fail N=2] [--fail-at SECS=900] [--secs T=3000]
@@ -87,8 +85,8 @@ COMMANDS:
             [--margin C=1.5] [--min C=16] [--max C=32] [--seed S=7]
   fuzz      sample seeded scenarios and run each through the differential
             oracle battery (determinism, fixed-vs-event clock equivalence,
-            (threads, shards) bit-identity, clean-path identity, physical
-            invariants); shrink any violation to a minimal repro JSON
+            clean-path identity, physical invariants); shrink any
+            violation to a minimal repro JSON
             [--seed S=61474] [--cases K=50] [--dir DIR=tests/scenarios]
             [--shrink-budget N=400] [--out FILE write a campaign record
             (JSON) whether or not violations were found]
@@ -106,9 +104,7 @@ COMMANDS:
             --secs 0 binds the port and exits, for smoke tests)
             [--addr A=127.0.0.1:9464] [--secs T=30] [--hz H=50]
             [--model MODEL] [--vms N=5] [--fans F=4] [--ambient C=24]
-            [--seed S=7] [--threads T=1 shard the demo fleet onto T worker
-            threads; metrics are bit-identical for every T]
-            [--clock fixed|event event-driven sparse stepping]
+            [--seed S=7] [--clock fixed|event event-driven sparse stepping]
 ";
 
 /// Parses the `--clock` flag shared by the simulation-driving commands:
@@ -496,7 +492,6 @@ fn chaos(flags: &Flags) -> Result<String, String> {
     let lost: f64 = flags.num("lost", 0.0)?;
     let seed: u64 = flags.num("seed", 7)?;
     let fault_seed: u64 = flags.num("fault-seed", 0xFA17)?;
-    let threads: usize = flags.num("threads", 1)?;
     if burst_at >= secs {
         return Err("--burst-at must precede --secs".to_string());
     }
@@ -567,18 +562,10 @@ fn chaos(flags: &Flags) -> Result<String, String> {
     );
     sim.set_fault_plan(plan)
         .map_err(|e| format!("fault plan: {e}"))?;
-    sim.set_threads(threads);
     sim.set_clock_mode(parse_clock(flags)?);
 
-    let mut monitor = ShardedMonitor::new(
-        &model,
-        DynamicConfig::new(),
-        1,
-        Seconds::new(gap),
-        threads,
-        threads,
-    )
-    .map_err(|e| e.to_string())?;
+    let mut monitor = FleetMonitor::new(model, DynamicConfig::new(), 1, Seconds::new(gap))
+        .map_err(|e| e.to_string())?;
     let mut alert_lines = Vec::new();
     for _ in 0..secs {
         sim.step();
@@ -822,15 +809,13 @@ fn fuzz(flags: &Flags) -> Result<String, String> {
     if cases == 0 {
         return Err("--cases must be positive".to_string());
     }
-    let config = oracle::OracleConfig::default();
-
     let mut detail = String::new();
     let mut repros: Vec<String> = Vec::new();
     let mut min_skip = f64::INFINITY;
     let mut max_skip = 0.0f64;
     for index in 0..cases {
         let scenario = generate::scenario(seed, index);
-        let report = oracle::check_scenario(&scenario, &config)
+        let report = oracle::check_scenario(&scenario)
             .map_err(|e| format!("case {index} ({}): {e}", scenario.name))?;
         min_skip = min_skip.min(report.event_skip_factor);
         max_skip = max_skip.max(report.event_skip_factor);
@@ -839,7 +824,7 @@ fn fuzz(flags: &Flags) -> Result<String, String> {
         };
         let _ = writeln!(detail, "case {index} ({}): {first}", scenario.name);
         let result = shrink::shrink(&scenario, first, budget, &mut |candidate| {
-            oracle::check_scenario(candidate, &config)
+            oracle::check_scenario(candidate)
                 .ok()
                 .and_then(|r| r.failures.first().cloned())
         });
@@ -904,8 +889,6 @@ fn replay(flags: &Flags) -> Result<String, String> {
         Some(p) => Some(load_model(p)?),
         None => None,
     };
-    let config = oracle::OracleConfig::default();
-
     let meta = fs::metadata(&path).map_err(|e| format!("{path}: {e}"))?;
     let mut files: Vec<std::path::PathBuf> = if meta.is_dir() {
         fs::read_dir(&path)
@@ -928,8 +911,7 @@ fn replay(flags: &Flags) -> Result<String, String> {
         let name = file.display();
         let text = fs::read_to_string(file).map_err(|e| format!("{name}: {e}"))?;
         let scenario = Scenario::parse(&text).map_err(|e| format!("{name}: {e}"))?;
-        let report =
-            oracle::check_scenario(&scenario, &config).map_err(|e| format!("{name}: {e}"))?;
+        let report = oracle::check_scenario(&scenario).map_err(|e| format!("{name}: {e}"))?;
         let mut lines: Vec<String> = report.failures.iter().map(ToString::to_string).collect();
         if let Some(model) = &model {
             lines.extend(monitor_oracle(&scenario, model).map_err(|e| format!("{name}: {e}"))?);
@@ -1004,7 +986,6 @@ fn obs_serve(flags: &Flags) -> Result<String, String> {
     let fans: u32 = flags.num("fans", 4)?;
     let ambient: f64 = flags.num("ambient", 24.0)?;
     let seed: u64 = flags.num("seed", 7)?;
-    let threads: usize = flags.num("threads", 1)?;
     if !hz.is_finite() || hz <= 0.0 {
         return Err("--hz must be a positive rate".to_string());
     }
@@ -1060,17 +1041,9 @@ fn obs_serve(flags: &Flags) -> Result<String, String> {
     );
     sim.set_fault_plan(plan)
         .map_err(|e| format!("fault plan: {e}"))?;
-    sim.set_threads(threads);
     sim.set_clock_mode(parse_clock(flags)?);
-    let mut monitor = ShardedMonitor::new(
-        &model,
-        DynamicConfig::new(),
-        1,
-        Seconds::new(60.0),
-        threads,
-        threads,
-    )
-    .map_err(|e| e.to_string())?;
+    let mut monitor = FleetMonitor::new(model, DynamicConfig::new(), 1, Seconds::new(60.0))
+        .map_err(|e| e.to_string())?;
 
     let period = std::time::Duration::from_secs_f64(1.0 / hz);
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(secs);
@@ -1290,10 +1263,9 @@ mod tests {
     }
 
     #[test]
-    fn threads_flag_never_changes_results() {
-        // `collect --threads T` writes byte-identical records for every T,
-        // and a threaded `chaos` run reports the exact same text as the
-        // serial one — the sharded-execution contract, end to end.
+    fn collect_threads_flag_never_changes_records() {
+        // `collect --threads T` writes byte-identical records for every T:
+        // experiments land in index-addressed slots.
         let serial = temp_path("thr_records_1.libsvm");
         let threaded = temp_path("thr_records_3.libsvm");
         let base = ["--cases", "10", "--seed", "6", "--duration", "700"];
@@ -1306,24 +1278,6 @@ mod tests {
         let a = fs::read(&serial).expect("serial records");
         let b = fs::read(&threaded).expect("threaded records");
         assert_eq!(a, b, "collect --threads changed the records");
-
-        let model = temp_path("thr_model.txt");
-        run("train", &flags(&["--records", &serial, "--out", &model])).expect("train");
-        let chaos_base = [
-            "--model",
-            &model,
-            "--dropout",
-            "0.05",
-            "--secs",
-            "600",
-            "--burst-at",
-            "300",
-        ];
-        let one = run("chaos", &flags(&chaos_base)).expect("serial chaos");
-        let mut args: Vec<&str> = vec!["--threads", "4"];
-        args.extend_from_slice(&chaos_base);
-        let four = run("chaos", &flags(&args)).expect("threaded chaos");
-        assert_eq!(one, four, "chaos --threads changed the report");
     }
 
     #[test]

@@ -24,8 +24,7 @@
 //! into fault alarms ([`anomaly`]). Further extensions: split-conformal
 //! prediction intervals ([`interval`]), sliding-window online retraining
 //! ([`online`]), predictive CRAC setpoint optimization ([`setpoint`]) and
-//! a fleet monitor with automatic re-anchoring ([`monitor`]) and its
-//! thread-parallel sharded form with deterministic merge ([`fleet`]).
+//! a fleet monitor with automatic re-anchoring ([`monitor`]).
 //!
 //! ## End-to-end example
 //!
@@ -81,7 +80,6 @@ pub mod dynamic;
 pub mod error;
 pub mod eval;
 pub mod features;
-pub mod fleet;
 pub mod interval;
 pub mod manager;
 pub mod monitor;
@@ -101,7 +99,6 @@ pub use curve::WarmupCurve;
 pub use dynamic::{DynamicConfig, DynamicPredictor};
 pub use error::PredictError;
 pub use features::FeatureEncoding;
-pub use fleet::ShardedMonitor;
 pub use interval::{Interval, IntervalPredictor};
 pub use monitor::{DegradationPolicy, DegradationStats, FleetMonitor};
 pub use online::OnlineTrainer;

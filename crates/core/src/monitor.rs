@@ -208,25 +208,30 @@ impl ServerStats {
     }
 }
 
-/// One predictor per server plus pending-forecast bookkeeping.
-///
-/// A monitor covers a contiguous **range** of global server indices
-/// (`first_server .. first_server + servers()`); the common whole-fleet
-/// case is simply the range starting at zero. Ranged monitors are the
-/// building block of [`crate::fleet::ShardedMonitor`]: every internal
-/// vector is local to the range while gauges, events and public
-/// accessors speak global server ids, so a sharded fleet produces
-/// bit-identical per-server state to one monitor covering everything.
+/// Fleet-level roll-up gauges, registered lazily once the obs layer is
+/// enabled.
+#[derive(Debug)]
+struct FleetGauges {
+    mse: obs::Gauge,
+    pred_err_p95: obs::Gauge,
+}
+
+impl FleetGauges {
+    fn register() -> FleetGauges {
+        let reg = obs::global();
+        FleetGauges {
+            mse: reg.gauge(names::METRIC_MONITOR_FLEET_MSE),
+            pred_err_p95: reg.gauge(names::METRIC_MONITOR_FLEET_PRED_ERR_P95),
+        }
+    }
+}
+
+/// One predictor per server plus pending-forecast bookkeeping, indexed
+/// by server id.
 #[derive(Debug)]
 pub struct FleetMonitor {
     stable: StablePredictor,
     gap_secs: f64,
-    /// First global server index this monitor covers.
-    lo: usize,
-    /// Whether [`FleetMonitor::observe`] must cover the whole simulation
-    /// (true for [`FleetMonitor::new`] monitors, false for range shards
-    /// that intentionally own a slice of a larger fleet).
-    strict: bool,
     predictors: Vec<DynamicPredictor>,
     /// Per-server queue of `(target_time, forecast)`.
     pending: Vec<VecDeque<(f64, f64)>>,
@@ -243,6 +248,8 @@ pub struct FleetMonitor {
     recent_sq_err: Vec<VecDeque<f64>>,
     /// Drift gauges; registered lazily once the obs layer is enabled.
     gauges: Vec<ServerGauges>,
+    /// Fleet MSE and forecast-error p95 gauges, registered with `gauges`.
+    fleet_gauges: Option<FleetGauges>,
     /// Degradation thresholds for faulted delivery streams.
     policy: DegradationPolicy,
     /// Per-server degradation counters.
@@ -286,28 +293,6 @@ impl FleetMonitor {
         servers: usize,
         gap_secs: Seconds,
     ) -> Result<Self, PredictError> {
-        let mut monitor = Self::with_range(stable, config, 0, servers, gap_secs)?;
-        monitor.strict = true;
-        Ok(monitor)
-    }
-
-    /// Creates a monitor covering the global server range
-    /// `first_server .. first_server + servers`, with forecast horizon
-    /// `gap_secs`. Gauge names, observability events and public
-    /// accessors all use global server indices, so ranged monitors over
-    /// a partition of the fleet are indistinguishable from one monitor
-    /// over the whole fleet.
-    ///
-    /// # Errors
-    ///
-    /// Propagates invalid [`DynamicConfig`]s.
-    pub fn with_range(
-        stable: StablePredictor,
-        config: DynamicConfig,
-        first_server: usize,
-        servers: usize,
-        gap_secs: Seconds,
-    ) -> Result<Self, PredictError> {
         let gap_secs = gap_secs.get();
         if !(gap_secs > 0.0) {
             return Err(PredictError::invalid(
@@ -321,8 +306,6 @@ impl FleetMonitor {
         Ok(FleetMonitor {
             stable,
             gap_secs,
-            lo: first_server,
-            strict: false,
             predictors: predictors?,
             pending: vec![VecDeque::new(); servers],
             stats: vec![ServerStats::default(); servers],
@@ -332,6 +315,7 @@ impl FleetMonitor {
             last_anchor: vec![0.0; servers],
             recent_sq_err: vec![VecDeque::new(); servers],
             gauges: Vec::new(),
+            fleet_gauges: None,
             policy: DegradationPolicy::default(),
             degradation: vec![DegradationStats::default(); servers],
             ingested: vec![TimeSeries::new(); servers],
@@ -343,20 +327,6 @@ impl FleetMonitor {
             pred_err: vec![obs::QuantileSketch::new(); servers],
             temp_limit_c: DEFAULT_TEMP_LIMIT_C,
         })
-    }
-
-    /// First global server index this monitor covers (0 for a
-    /// whole-fleet monitor).
-    #[must_use]
-    pub fn first_server(&self) -> usize {
-        self.lo
-    }
-
-    /// Maps a global server id to this monitor's local index, `None`
-    /// when the server is outside the covered range.
-    fn local(&self, server: ServerId) -> Option<usize> {
-        let local = server.raw().checked_sub(self.lo)?;
-        (local < self.predictors.len()).then_some(local)
     }
 
     /// Replaces the die-temperature limit the per-server headroom gauge
@@ -404,8 +374,8 @@ impl FleetMonitor {
     /// Degradation counters for a server.
     #[must_use]
     pub fn degradation(&self, server: ServerId) -> DegradationStats {
-        self.local(server)
-            .and_then(|i| self.degradation.get(i))
+        self.degradation
+            .get(server.raw())
             .copied()
             .unwrap_or_default()
     }
@@ -413,10 +383,7 @@ impl FleetMonitor {
     /// Whether a server's stream is currently stale (holdover active).
     #[must_use]
     pub fn in_holdover(&self, server: ServerId) -> bool {
-        self.local(server)
-            .and_then(|i| self.holdover.get(i))
-            .copied()
-            .unwrap_or(false)
+        self.holdover.get(server.raw()).copied().unwrap_or(false)
     }
 
     /// Re-anchors one server's predictor and does the observability
@@ -429,16 +396,17 @@ impl FleetMonitor {
         ambient_c: Celsius,
         reason: &'static str,
     ) {
-        let Some(local) = self.local(sid) else {
-            return; // another shard's server
-        };
+        let idx = sid.raw();
+        if idx >= self.servers() {
+            return;
+        }
         let Ok(server) = sim.datacenter().server(sid) else {
             return;
         };
         let snap = ConfigSnapshot::capture(sim, sid, ambient_c);
         let phi0 = server.die_temperature();
         let psi_stable = self.stable.predict(&snap);
-        self.apply_anchor(local, t_secs, phi0, psi_stable, reason);
+        self.apply_anchor(idx, t_secs, phi0, psi_stable, reason);
     }
 
     /// Anchors one predictor to an already-computed ψ_stable and records
@@ -459,10 +427,9 @@ impl FleetMonitor {
         self.reanchors[idx] += 1;
         self.last_anchor[idx] = t_secs;
         OBS_REANCHORS.inc();
-        let global = self.lo + idx;
         obs::emit_with(|| ObsEvent::Reanchor {
             t_secs,
-            server: global,
+            server: idx,
             phi0_c: phi0,
             psi_stable_c: psi_stable,
             reason: reason.to_string(),
@@ -496,34 +463,30 @@ impl FleetMonitor {
         let _sweep_timer = OBS_OBSERVE_NS.start_timer();
         let n = self.servers();
         assert!(
-            !self.strict || sim.datacenter().len() <= self.lo + n,
-            "monitor covers servers {}..{}, simulation has {}",
-            self.lo,
-            self.lo + n,
+            sim.datacenter().len() <= n,
+            "monitor covers {n} servers, simulation has {}",
             sim.datacenter().len()
         );
-        // Servers of this monitor's range that exist in the simulation,
-        // as local indices.
-        let covered = sim.datacenter().len().saturating_sub(self.lo).min(n);
-        if obs::enabled() && self.gauges.is_empty() {
-            let lo = self.lo;
-            self.gauges = (0..n).map(|i| ServerGauges::register(lo + i)).collect();
+        // Servers that exist in the simulation so far.
+        let covered = sim.datacenter().len();
+        if obs::enabled() && self.fleet_gauges.is_none() {
+            self.gauges = (0..n).map(ServerGauges::register).collect();
+            self.fleet_gauges = Some(FleetGauges::register());
         }
 
         // Initial anchor for every covered server, once traces exist:
-        // one batch ψ_stable prediction over the range instead of a
-        // scalar predict per server. `predict_batch` is per-sample
-        // independent (bitwise equal to scalar predicts), so a range
-        // batch anchors exactly as a whole-fleet batch would.
+        // one batch ψ_stable prediction instead of a scalar predict per
+        // server. `predict_batch` is per-sample independent (bitwise
+        // equal to scalar predicts).
         if !self.anchored {
             self.anchored = true;
             let t = sim.now().as_secs_f64();
             let snapshots: Vec<ConfigSnapshot> = (0..covered)
-                .map(|idx| ConfigSnapshot::capture(sim, ServerId::new(self.lo + idx), ambient_c))
+                .map(|idx| ConfigSnapshot::capture(sim, ServerId::new(idx), ambient_c))
                 .collect();
             let psi = self.stable.predict_batch(&snapshots);
             for (idx, psi_stable) in psi.into_iter().enumerate() {
-                let Ok(server) = sim.datacenter().server(ServerId::new(self.lo + idx)) else {
+                let Ok(server) = sim.datacenter().server(ServerId::new(idx)) else {
                     continue;
                 };
                 let phi0 = server.die_temperature();
@@ -564,8 +527,7 @@ impl FleetMonitor {
         // Feed samples, score matured forecasts, enqueue fresh ones.
         let now = sim.now().as_secs_f64();
         for idx in 0..covered {
-            let global = self.lo + idx;
-            let sid = ServerId::new(global);
+            let sid = ServerId::new(idx);
             // A faulted delivery stream goes through the degradation
             // machinery; the clean path below reads the physics trace
             // directly and is untouched by fault handling.
@@ -588,7 +550,7 @@ impl FleetMonitor {
             OBS_SAMPLES.inc();
             obs::emit_with(|| ObsEvent::Sample {
                 t_secs: t,
-                server: global,
+                server: idx,
                 temp_c: measured,
             });
             while let Some(&(target, forecast)) = self.pending[idx].front() {
@@ -611,7 +573,7 @@ impl FleetMonitor {
                 }
                 obs::emit_with(|| ObsEvent::ForecastScored {
                     t_secs: now,
-                    server: global,
+                    server: idx,
                     err_c: err,
                 });
             }
@@ -622,7 +584,7 @@ impl FleetMonitor {
                 OBS_ISSUED.inc();
                 obs::emit_with(|| ObsEvent::Forecast {
                     t_secs: t,
-                    server: global,
+                    server: idx,
                     target_t_secs: t + self.gap_secs,
                     temp_c: forecast,
                 });
@@ -635,6 +597,14 @@ impl FleetMonitor {
                 gauges.headroom.set(self.temp_limit_c - measured);
             }
         }
+
+        // Fleet roll-ups, folded in server order.
+        if obs::enabled() {
+            if let Some(fleet) = &self.fleet_gauges {
+                fleet.mse.set(self.fleet_mse());
+                fleet.pred_err_p95.set(self.fleet_pred_err().quantile(0.95));
+            }
+        }
     }
 
     /// Ingests one server's faulted delivery stream: absorbs out-of-order
@@ -643,8 +613,7 @@ impl FleetMonitor {
     /// re-anchor on stream recovery, expires forecasts that matured inside
     /// a gap and keeps forecasting from the anchored curve throughout.
     fn observe_faulted(&mut self, sim: &Simulation, idx: usize, now: f64, ambient_c: Celsius) {
-        let global = self.lo + idx;
-        let sid = ServerId::new(global);
+        let sid = ServerId::new(idx);
         let policy = self.policy;
         let Some(delivered) = sim.delivered(sid) else {
             return;
@@ -715,7 +684,7 @@ impl FleetMonitor {
             OBS_SAMPLES.inc();
             obs::emit_with(|| ObsEvent::Sample {
                 t_secs: t,
-                server: global,
+                server: idx,
                 temp_c: v,
             });
         }
@@ -758,7 +727,7 @@ impl FleetMonitor {
                     }
                     obs::emit_with(|| ObsEvent::ForecastScored {
                         t_secs: now,
-                        server: global,
+                        server: idx,
                         err_c: err,
                     });
                 }
@@ -778,7 +747,7 @@ impl FleetMonitor {
             OBS_ISSUED.inc();
             obs::emit_with(|| ObsEvent::Forecast {
                 t_secs: now,
-                server: global,
+                server: idx,
                 target_t_secs: now + self.gap_secs,
                 temp_c: forecast,
             });
@@ -802,7 +771,7 @@ impl FleetMonitor {
     /// have been scored this equals [`ServerStats::mse`].
     #[must_use]
     pub fn rolling_mse(&self, server: ServerId) -> f64 {
-        match self.local(server).and_then(|i| self.recent_sq_err.get(i)) {
+        match self.recent_sq_err.get(server.raw()) {
             Some(w) if !w.is_empty() => w.iter().sum::<f64>() / w.len() as f64,
             _ => f64::NAN,
         }
@@ -812,43 +781,32 @@ impl FleetMonitor {
     /// initial anchor.
     #[must_use]
     pub fn reanchor_count(&self, server: ServerId) -> u64 {
-        self.local(server)
-            .and_then(|i| self.reanchors.get(i))
-            .copied()
-            .unwrap_or(0)
+        self.reanchors.get(server.raw()).copied().unwrap_or(0)
     }
 
     /// Seconds of simulation time of a server's most recent anchor.
     #[must_use]
     pub fn last_anchor_secs(&self, server: ServerId) -> f64 {
-        self.local(server)
-            .and_then(|i| self.last_anchor.get(i))
-            .copied()
-            .unwrap_or(0.0)
+        self.last_anchor.get(server.raw()).copied().unwrap_or(0.0)
     }
 
     /// Depth of a server's forecast-maturity queue.
     #[must_use]
     pub fn pending_forecasts(&self, server: ServerId) -> usize {
-        self.local(server)
-            .and_then(|i| self.pending.get(i))
-            .map_or(0, VecDeque::len)
+        self.pending.get(server.raw()).map_or(0, VecDeque::len)
     }
 
     /// The current forecast (`gap_secs` ahead of the latest sample) for a
     /// server, if one is pending.
     #[must_use]
     pub fn latest_forecast(&self, server: ServerId) -> Option<(f64, f64)> {
-        self.pending.get(self.local(server)?)?.back().copied()
+        self.pending.get(server.raw())?.back().copied()
     }
 
     /// Per-server accuracy stats.
     #[must_use]
     pub fn stats(&self, server: ServerId) -> ServerStats {
-        self.local(server)
-            .and_then(|i| self.stats.get(i))
-            .copied()
-            .unwrap_or_default()
+        self.stats.get(server.raw()).copied().unwrap_or_default()
     }
 
     /// Fleet-wide MSE over all matured forecasts (`NaN` before any).
@@ -861,26 +819,11 @@ impl FleetMonitor {
         self.stats.iter().map(|s| s.sum_sq_err).sum::<f64>() / scored as f64
     }
 
-    /// Per-server accuracy stats for the whole covered range, in local
-    /// (range) order. [`crate::fleet::ShardedMonitor`] concatenates
-    /// these slices in shard order to reduce fleet gauges with exactly
-    /// the floating-point association a whole-fleet monitor uses.
-    #[must_use]
-    pub fn server_stats(&self) -> &[ServerStats] {
-        &self.stats
-    }
-
     /// One server's absolute forecast-error P² sketch (p50/p95/p99),
     /// maintained whether or not the obs layer is enabled.
     #[must_use]
     pub fn pred_err_sketch(&self, server: ServerId) -> Option<&obs::QuantileSketch> {
-        self.pred_err.get(self.local(server)?)
-    }
-
-    /// All per-server forecast-error sketches in local (range) order.
-    #[must_use]
-    pub fn pred_err_sketches(&self) -> &[obs::QuantileSketch] {
-        &self.pred_err
+        self.pred_err.get(server.raw())
     }
 
     /// Fleet-level roll-up of the per-server forecast-error sketches,
@@ -922,13 +865,12 @@ impl FleetMonitor {
         let mut violations = Vec::new();
         let now = sim.now().as_secs_f64();
         for i in 0..self.servers() {
-            let global = self.lo + i;
-            let id = ServerId::new(global);
+            let id = ServerId::new(i);
             if let Some(stream) = sim.delivered(id) {
                 let cursor = self.delivered_cursor.get(i).copied().unwrap_or(0);
                 if cursor != stream.len() {
                     violations.push(format!(
-                        "server {global}: consumed {cursor} of {} delivered samples",
+                        "server {i}: consumed {cursor} of {} delivered samples",
                         stream.len()
                     ));
                 }
@@ -937,33 +879,31 @@ impl FleetMonitor {
                 if let Some((t, v)) = ingested.iter().last() {
                     if !t.is_finite() || t > now {
                         violations.push(format!(
-                            "server {global}: ingested sample at t={t} beyond clock {now}"
+                            "server {i}: ingested sample at t={t} beyond clock {now}"
                         ));
                     }
                     if !v.is_finite() {
-                        violations.push(format!(
-                            "server {global}: non-finite ingested value at t={t}"
-                        ));
+                        violations.push(format!("server {i}: non-finite ingested value at t={t}"));
                     }
                 }
             }
             let anchor = self.last_anchor.get(i).copied().unwrap_or(0.0);
             if !anchor.is_finite() || anchor > now {
                 violations.push(format!(
-                    "server {global}: anchor at t={anchor} beyond clock {now}"
+                    "server {i}: anchor at t={anchor} beyond clock {now}"
                 ));
             }
             let reanchors = self.reanchors.get(i).copied().unwrap_or(0);
             let degradation = self.degradation.get(i).copied().unwrap_or_default();
             if degradation.recovery_reanchors > reanchors {
                 violations.push(format!(
-                    "server {global}: {} recovery re-anchors exceed {reanchors} total anchors",
+                    "server {i}: {} recovery re-anchors exceed {reanchors} total anchors",
                     degradation.recovery_reanchors
                 ));
             }
             if self.holdover.get(i).copied().unwrap_or(false) && degradation.holdover_entries == 0 {
                 violations.push(format!(
-                    "server {global}: in holdover with no holdover entry recorded"
+                    "server {i}: in holdover with no holdover entry recorded"
                 ));
             }
             if let Some(pending) = self.pending.get(i) {
@@ -971,7 +911,7 @@ impl FleetMonitor {
                 for &(target, forecast) in pending {
                     if !target.is_finite() || !forecast.is_finite() || target < prev {
                         violations.push(format!(
-                            "server {global}: pending forecast ({target}, {forecast}) \
+                            "server {i}: pending forecast ({target}, {forecast}) \
                              out of order or non-finite"
                         ));
                         break;
@@ -982,7 +922,7 @@ impl FleetMonitor {
             if let Some(stats) = self.stats.get(i) {
                 if !stats.sum_sq_err.is_finite() || stats.sum_sq_err < 0.0 {
                     violations.push(format!(
-                        "server {global}: squared-error accumulator {} invalid",
+                        "server {i}: squared-error accumulator {} invalid",
                         stats.sum_sq_err
                     ));
                 }
@@ -1302,6 +1242,21 @@ mod tests {
         }
         // The observe-sweep latency summary saw every observe call.
         assert!(registry.summary(names::METRIC_MONITOR_OBSERVE_NS).count() > 0);
+        // Fleet roll-up gauges carry the monitor's own fleet values.
+        assert_eq!(
+            registry
+                .gauge(names::METRIC_MONITOR_FLEET_MSE)
+                .get()
+                .to_bits(),
+            monitor.fleet_mse().to_bits()
+        );
+        assert_eq!(
+            registry
+                .gauge(names::METRIC_MONITOR_FLEET_PRED_ERR_P95)
+                .get()
+                .to_bits(),
+            monitor.fleet_pred_err().quantile(0.95).to_bits()
+        );
         vmtherm_obs::set_enabled(false);
     }
 
@@ -1333,8 +1288,13 @@ mod tests {
     fn unmonitored_server_queries_are_safe() {
         let monitor =
             FleetMonitor::new(stable_model(), DynamicConfig::new(), 1, Seconds::new(60.0)).unwrap();
-        assert!(monitor.latest_forecast(ServerId::new(9)).is_none());
-        assert_eq!(monitor.stats(ServerId::new(9)), ServerStats::default());
+        let ghost = ServerId::new(9);
+        assert!(monitor.latest_forecast(ghost).is_none());
+        assert_eq!(monitor.stats(ghost), ServerStats::default());
+        assert!(monitor.rolling_mse(ghost).is_nan());
+        assert_eq!(monitor.reanchor_count(ghost), 0);
+        assert!(!monitor.in_holdover(ghost));
+        assert!(monitor.pred_err_sketch(ghost).is_none());
         assert!(monitor.fleet_mse().is_nan());
     }
 }

@@ -80,8 +80,27 @@ struct HistogramInner {
     counts: Vec<AtomicU64>,
     /// Sum of all observed values, stored as f64 bits and updated by CAS.
     sum_bits: AtomicU64,
+    /// Smallest and largest observed values (f64 bits, updated by CAS);
+    /// +Inf / -Inf while empty.
+    min_bits: AtomicU64,
+    max_bits: AtomicU64,
     /// Total number of observations.
     count: AtomicU64,
+}
+
+/// Replaces the f64 stored as bits in `cell` with `f(current)`.
+fn update_f64(cell: &AtomicU64, f: impl Fn(f64) -> f64) {
+    let mut cur = cell.load(Ordering::Relaxed);
+    loop {
+        let next = f(f64::from_bits(cur)).to_bits();
+        if next == cur {
+            return;
+        }
+        match cell.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
+            Ok(_) => return,
+            Err(actual) => cur = actual,
+        }
+    }
 }
 
 /// A fixed-bucket histogram.
@@ -105,6 +124,8 @@ impl Histogram {
             bounds,
             counts,
             sum_bits: AtomicU64::new(0.0_f64.to_bits()),
+            min_bits: AtomicU64::new(f64::INFINITY.to_bits()),
+            max_bits: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
             count: AtomicU64::new(0),
         }))
     }
@@ -130,19 +151,9 @@ impl Histogram {
         let idx = inner.bounds.partition_point(|b| value > *b);
         inner.counts[idx].fetch_add(1, Ordering::Relaxed);
         inner.count.fetch_add(1, Ordering::Relaxed);
-        let mut cur = inner.sum_bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + value).to_bits();
-            match inner.sum_bits.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(actual) => cur = actual,
-            }
-        }
+        update_f64(&inner.sum_bits, |sum| sum + value);
+        update_f64(&inner.min_bits, |min| min.min(value));
+        update_f64(&inner.max_bits, |max| max.max(value));
     }
 
     /// Total number of observations.
@@ -153,6 +164,16 @@ impl Histogram {
     /// Sum of all observations.
     pub fn sum(&self) -> f64 {
         f64::from_bits(self.0.sum_bits.load(Ordering::Relaxed))
+    }
+
+    /// Smallest observation, +Inf when empty.
+    fn min(&self) -> f64 {
+        f64::from_bits(self.0.min_bits.load(Ordering::Relaxed))
+    }
+
+    /// Largest observation, -Inf when empty.
+    fn max(&self) -> f64 {
+        f64::from_bits(self.0.max_bits.load(Ordering::Relaxed))
     }
 
     /// Mean of all observations, or 0 when empty.
@@ -166,13 +187,28 @@ impl Histogram {
     }
 
     /// Estimates the `q`-quantile (0 ≤ q ≤ 1) by linear interpolation within
-    /// the containing bucket. Returns 0 when the histogram is empty.
+    /// the containing bucket, clamped to the observed `[min, max]` range so
+    /// no estimate lies outside the data. Returns 0 when the histogram is
+    /// empty.
     pub fn quantile(&self, q: f64) -> f64 {
-        let inner = &self.0;
-        let total = self.count();
-        if total == 0 {
+        if self.count() == 0 {
             return 0.0;
         }
+        let estimate = self.interpolate(q);
+        let (min, max) = (self.min(), self.max());
+        // A concurrent first observation may have bumped the count before
+        // publishing its min/max; fall back to the bare estimate then.
+        if min <= max {
+            estimate.max(min).min(max)
+        } else {
+            estimate
+        }
+    }
+
+    /// Bucket-bound interpolation behind [`Histogram::quantile`].
+    fn interpolate(&self, q: f64) -> f64 {
+        let inner = &self.0;
+        let total = self.count();
         let rank = q.clamp(0.0, 1.0) * total as f64;
         let mut cumulative = 0u64;
         for (i, c) in inner.counts.iter().enumerate() {
@@ -346,6 +382,10 @@ impl Registry {
                         c.store(0, Ordering::Relaxed);
                     }
                     h.0.sum_bits.store(0.0_f64.to_bits(), Ordering::Relaxed);
+                    h.0.min_bits
+                        .store(f64::INFINITY.to_bits(), Ordering::Relaxed);
+                    h.0.max_bits
+                        .store(f64::NEG_INFINITY.to_bits(), Ordering::Relaxed);
                     h.0.count.store(0, Ordering::Relaxed);
                 }
                 Metric::Summary(s) => s.lock().reset(),
@@ -595,6 +635,30 @@ mod tests {
         assert!((10.0..=20.0).contains(&p50), "p50 = {p50}");
         let p99 = h.quantile(0.99);
         assert!((20.0..=30.0).contains(&p99), "p99 = {p99}");
+    }
+
+    #[test]
+    fn histogram_quantiles_stay_within_observed_range() {
+        // One 649 µs call: bucket interpolation alone would report 750 µs.
+        let single = Histogram::with_bounds(Histogram::ns_buckets());
+        single.observe(649_000.0);
+        for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
+            assert_eq!(single.quantile(q), 649_000.0, "q = {q}");
+        }
+        // Beyond the top bound the estimate is the observed maximum, not
+        // the last bucket bound.
+        let over = Histogram::with_bounds(vec![1.0, 10.0]);
+        over.observe(13.8);
+        assert_eq!(over.quantile(0.5), 13.8);
+        let spread = Histogram::with_bounds(Histogram::ns_buckets());
+        for v in [120.0, 3_000.0, 3_100.0, 70_000.0, 9.0e6] {
+            spread.observe(v);
+        }
+        assert_eq!((spread.min(), spread.max()), (120.0, 9.0e6));
+        for q in [0.0, 0.1, 0.5, 0.9, 0.99, 1.0] {
+            let est = spread.quantile(q);
+            assert!((120.0..=9.0e6).contains(&est), "q = {q}: {est}");
+        }
     }
 
     #[test]

@@ -278,12 +278,9 @@ impl QuantileSketch {
 /// sum, min and max merge exactly, and each tracked quantile becomes
 /// the count-weighted mean of the per-sketch estimates — a standard
 /// roll-up approximation whose error is bounded by the spread between
-/// shards, and which is reproducible bit-for-bit because callers fold
-/// in a fixed order (server-index order in the sharded monitor).
-///
-/// Two `MergedQuantiles` built by absorbing the same sketches in the
-/// same order hold bit-identical state regardless of which threads
-/// owned the sketches.
+/// the per-sketch estimates, and which is reproducible bit-for-bit
+/// because callers fold in a fixed order (server-index order in the
+/// fleet monitor).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MergedQuantiles {
     count: u64,

@@ -149,15 +149,6 @@ impl Datacenter {
         self.servers.iter_mut()
     }
 
-    /// All servers as one mutable slice, in stable id order.
-    ///
-    /// The sharded engine splits this slice into disjoint contiguous
-    /// chunks (see [`crate::shard`]), so each worker thread owns an
-    /// exclusive range of servers.
-    pub fn servers_mut(&mut self) -> &mut [Server] {
-        &mut self.servers
-    }
-
     /// The rack a server sits in.
     ///
     /// # Errors

@@ -8,10 +8,9 @@ use crate::datacenter::Datacenter;
 use crate::environment::AmbientModel;
 use crate::error::SimError;
 use crate::fan::FanSpeed;
-use crate::fault::{FaultInjector, FaultPlan, FaultStats, ServerFaultState};
+use crate::fault::{FaultInjector, FaultPlan, FaultStats};
 use crate::migration::{ActiveMigration, MigrationConfig};
 use crate::server::{Server, ServerId};
-use crate::shard;
 use crate::telemetry::ServerTrace;
 use crate::time::{EventQueue, SimDuration, SimTime};
 use crate::vm::{Vm, VmId, VmSpec, VmState};
@@ -253,11 +252,6 @@ pub struct Simulation {
     /// Steps not yet flushed to the obs step counter; bounds per-step
     /// instrumentation cost to one branch plus an integer increment.
     obs_backlog: u32,
-    /// Worker threads for the per-server physics phase (1 = serial).
-    threads: usize,
-    /// Shard-count override: 0 means one contiguous shard per thread.
-    /// Exposed so tests can prove partition invariance directly.
-    shards: usize,
     /// How per-server physics advances (fixed dense steps or event-driven
     /// sparse wake-ups).
     clock_mode: ClockMode,
@@ -300,8 +294,6 @@ impl Simulation {
             fault: None,
             delivered: Vec::new(),
             obs_backlog: 0,
-            threads: 1,
-            shards: 0,
             clock_mode: ClockMode::Fixed,
             wake_policy: WakePolicy::default(),
             wake: None,
@@ -356,40 +348,6 @@ impl Simulation {
             server_steps: self.server_steps,
             dense_server_steps: self.dense_server_steps,
         }
-    }
-
-    /// Steps the per-server physics phase on `threads` worker threads.
-    ///
-    /// Events, migrations, ambient and the room-heat reduction stay
-    /// serial; only the embarrassingly parallel server loop is sharded
-    /// (see [`crate::shard`]). End states are **bit-identical for every
-    /// thread count** — per-server RNG streams derive from the seed
-    /// plus the stable server index, each shard owns a disjoint
-    /// contiguous server range, and every floating-point reduction runs
-    /// serially in index order after the workers join.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.set_threads(threads);
-        self
-    }
-
-    /// See [`Simulation::with_threads`]. Values are clamped to at least 1.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// Worker threads used for the per-server physics phase.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Overrides the shard count independently of the thread count
-    /// (0 = one contiguous shard per worker thread, the default).
-    /// Results do not depend on this value; tests use it to prove
-    /// partition invariance.
-    pub fn set_shards(&mut self, shards: usize) {
-        self.shards = shards;
     }
 
     /// Installs a telemetry fault plan. A no-op plan removes the injector
@@ -621,133 +579,23 @@ impl Simulation {
         self.dense_server_steps += self.datacenter.len() as u64;
         if self.clock_mode == ClockMode::Event {
             self.step_servers_event(now, ambient, &offsets);
-        } else if self.threads <= 1 && self.shards == 0 {
-            self.server_steps += self.datacenter.len() as u64;
-            // Serial fast path: identical operations per server, in the
-            // same per-server order, as the sharded path below — the two
-            // are bit-identical by construction (and tested to be).
-            for server in self.datacenter.iter_mut() {
-                let idx = server.id().raw();
-                let local_ambient = ambient + offsets[idx];
-                server.step(now, Celsius::new(local_ambient), Seconds::new(dt_secs));
-                let trace = &mut self.traces[idx];
-                let reading = server.read_sensor();
-                let recorded = trace
-                    .sensor_c
-                    .push(now, reading)
-                    .and(trace.die_c.push(now, server.die_temperature()))
-                    .and(trace.utilization.push(now, server.last_utilization()))
-                    .and(trace.power_w.push(now, server.last_power()))
-                    .and(trace.ambient_c.push(now, local_ambient));
-                // The engine clock is monotone, so recording cannot go backwards.
-                debug_assert!(recorded.is_ok(), "engine clock regressed: {recorded:?}");
-                // The trace above is ground truth; the monitoring plane sees
-                // the reading only after the fault channels have had their say.
-                if let Some(injector) = &mut self.fault {
-                    if let Some((t, v)) = injector.deliver(
-                        idx,
-                        Seconds::new(now.as_secs_f64()),
-                        Celsius::new(reading),
-                    ) {
-                        self.delivered[idx].push((t.get(), v.get()));
-                    }
-                }
-            }
         } else {
             self.server_steps += self.datacenter.len() as u64;
-            self.step_servers_sharded(now, ambient, dt_secs, &offsets);
+            for server in self.datacenter.iter_mut() {
+                let idx = server.id().raw();
+                step_server(
+                    server,
+                    &mut self.traces[idx],
+                    self.fault.as_mut().map(|f| (f, &mut self.delivered[idx])),
+                    now,
+                    ambient + offsets[idx],
+                    dt_secs,
+                );
+            }
         }
         self.room_heat_kw = self.datacenter.room_heat_kw();
 
         self.clock += self.dt;
-    }
-
-    /// The per-server physics phase on the sharded path: disjoint
-    /// per-server work units are split into contiguous shards and
-    /// drained by a scoped worker pool. Every unit owns exclusive
-    /// `&mut` state indexed by stable server id, so the result is
-    /// bit-identical to the serial loop for any thread or shard count.
-    fn step_servers_sharded(&mut self, now: SimTime, ambient: f64, dt_secs: f64, offsets: &[f64]) {
-        /// Exclusive per-server state for one step: physics, telemetry
-        /// and (when a plan is installed) the fault channel state plus
-        /// the delivery sink, all addressed by the same server index.
-        struct StepUnit<'a> {
-            server: &'a mut Server,
-            trace: &'a mut ServerTrace,
-            delivered: Option<&'a mut Vec<(f64, f64)>>,
-            fault: Option<&'a mut ServerFaultState>,
-        }
-
-        let count = self.datacenter.len();
-        let (plan, fault_states) = match self.fault.as_mut() {
-            Some(injector) => {
-                // Pre-grow in index order so state construction matches
-                // the lazy growth of the serial path exactly.
-                injector.ensure_servers(count);
-                let (plan, states) = injector.split_mut();
-                (Some(plan), Some(states.iter_mut()))
-            }
-            None => (None, None),
-        };
-        let mut fault_states = fault_states;
-        let mut delivered = self.delivered.iter_mut();
-        let has_fault = plan.is_some();
-
-        let mut units: Vec<StepUnit<'_>> = self
-            .datacenter
-            .servers_mut()
-            .iter_mut()
-            .zip(self.traces.iter_mut())
-            .map(|(server, trace)| StepUnit {
-                server,
-                trace,
-                delivered: if has_fault { delivered.next() } else { None },
-                fault: fault_states.as_mut().and_then(Iterator::next),
-            })
-            .collect();
-
-        let shards = if self.shards > 0 {
-            self.shards
-        } else {
-            self.threads
-        };
-        shard::for_each_chunk(&mut units, shards, self.threads, |offset, chunk| {
-            for (i, unit) in chunk.iter_mut().enumerate() {
-                let idx = offset + i;
-                debug_assert_eq!(unit.server.id().raw(), idx, "unit order broke");
-                let local_ambient = ambient + offsets[idx];
-                unit.server
-                    .step(now, Celsius::new(local_ambient), Seconds::new(dt_secs));
-                let reading = unit.server.read_sensor();
-                let recorded = unit
-                    .trace
-                    .sensor_c
-                    .push(now, reading)
-                    .and(unit.trace.die_c.push(now, unit.server.die_temperature()))
-                    .and(
-                        unit.trace
-                            .utilization
-                            .push(now, unit.server.last_utilization()),
-                    )
-                    .and(unit.trace.power_w.push(now, unit.server.last_power()))
-                    .and(unit.trace.ambient_c.push(now, local_ambient));
-                debug_assert!(recorded.is_ok(), "engine clock regressed: {recorded:?}");
-                if let (Some(plan), Some(state), Some(sink)) = (
-                    plan,
-                    unit.fault.as_deref_mut(),
-                    unit.delivered.as_deref_mut(),
-                ) {
-                    if let Some((t, v)) = state.deliver(
-                        plan,
-                        idx,
-                        Seconds::new(now.as_secs_f64()),
-                        Celsius::new(reading),
-                    ) {
-                        sink.push((t.get(), v.get()));
-                    }
-                }
-            }
-        });
     }
 
     /// Creates (or grows) the event-mode bookkeeping so every server has
@@ -856,27 +704,15 @@ impl Simulation {
                     .ambient_offset(ServerId::new(idx))
                     .unwrap_or(0.0);
             if let Ok(server) = self.datacenter.server_mut(ServerId::new(idx)) {
-                server.step(sample_t, Celsius::new(local_ambient), Seconds::new(elapsed));
                 self.server_steps += 1;
-                let reading = server.read_sensor();
-                let trace = &mut self.traces[idx];
-                let recorded = trace
-                    .sensor_c
-                    .push(sample_t, reading)
-                    .and(trace.die_c.push(sample_t, server.die_temperature()))
-                    .and(trace.utilization.push(sample_t, server.last_utilization()))
-                    .and(trace.power_w.push(sample_t, server.last_power()))
-                    .and(trace.ambient_c.push(sample_t, local_ambient));
-                debug_assert!(recorded.is_ok(), "engine clock regressed: {recorded:?}");
-                if let Some(injector) = &mut self.fault {
-                    if let Some((t, v)) = injector.deliver(
-                        idx,
-                        Seconds::new(sample_t.as_secs_f64()),
-                        Celsius::new(reading),
-                    ) {
-                        self.delivered[idx].push((t.get(), v.get()));
-                    }
-                }
+                step_server(
+                    server,
+                    &mut self.traces[idx],
+                    self.fault.as_mut().map(|f| (f, &mut self.delivered[idx])),
+                    sample_t,
+                    local_ambient,
+                    elapsed,
+                );
             }
             if let Some(wake) = self.wake.as_mut() {
                 wake.last_end[idx] = self.clock;
@@ -917,21 +753,8 @@ impl Simulation {
     /// wake-up is due integrate this tick, each over the full interval
     /// since its physics last advanced (one step-size-exact call), then
     /// re-arm — doubling their sleep while provably steady, snapping back
-    /// to dense on any transient. Wake batches are split at the positions
-    /// where the dense [`shard::shard_bounds`] partition of the full
-    /// server range cuts them, so sharding is exactly the dense path's.
+    /// to dense on any transient.
     fn step_servers_event(&mut self, now: SimTime, ambient: f64, offsets: &[f64]) {
-        /// Exclusive per-server state for one wake-up, addressed by the
-        /// stable server index it carries (the batch is sparse).
-        struct WakeUnit<'a> {
-            idx: usize,
-            elapsed_secs: f64,
-            server: &'a mut Server,
-            trace: &'a mut ServerTrace,
-            delivered: Option<&'a mut Vec<(f64, f64)>>,
-            fault: Option<&'a mut ServerFaultState>,
-        }
-
         let count = self.datacenter.len();
         let tick_end = now + self.dt;
 
@@ -948,112 +771,27 @@ impl Simulation {
         }
         due.sort_unstable();
         due.dedup();
-
-        // Each due server integrates through the end of this tick.
-        let mut elapsed: Vec<f64> = Vec::with_capacity(due.len());
-        if let Some(wake) = self.wake.as_mut() {
-            for &idx in &due {
-                elapsed.push(tick_end.duration_since(wake.last_end[idx]).as_secs_f64());
-                wake.last_end[idx] = tick_end;
-            }
-        }
         self.server_steps += due.len() as u64;
 
-        let (plan, fault_states) = match self.fault.as_mut() {
-            Some(injector) => {
-                injector.ensure_servers(count);
-                let (plan, states) = injector.split_mut();
-                (Some(plan), Some(states.iter_mut()))
-            }
-            None => (None, None),
-        };
-        let mut fault_states = fault_states;
-        let mut delivered_iter = self.delivered.iter_mut();
-        let has_fault = plan.is_some();
-
-        // Walk the full per-server arrays in index order, advancing every
-        // iterator in lock-step (fault/delivery state stays aligned with
-        // the stable index) but materialising units only for due servers.
-        let mut units: Vec<WakeUnit<'_>> = Vec::with_capacity(due.len());
-        let mut due_cursor = due.iter().copied().peekable();
-        for ((idx, server), trace) in self
-            .datacenter
-            .servers_mut()
-            .iter_mut()
-            .enumerate()
-            .zip(self.traces.iter_mut())
-        {
-            let delivered = if has_fault {
-                delivered_iter.next()
-            } else {
-                None
+        // Each due server integrates through the end of this tick, in
+        // index order.
+        for &idx in &due {
+            let Some(wake) = self.wake.as_mut() else {
+                break;
             };
-            let fault = fault_states.as_mut().and_then(Iterator::next);
-            if due_cursor.peek() == Some(&idx) {
-                due_cursor.next();
-                let pos = units.len();
-                units.push(WakeUnit {
-                    idx,
-                    elapsed_secs: elapsed[pos],
+            let elapsed_secs = tick_end.duration_since(wake.last_end[idx]).as_secs_f64();
+            wake.last_end[idx] = tick_end;
+            if let Ok(server) = self.datacenter.server_mut(ServerId::new(idx)) {
+                step_server(
                     server,
-                    trace,
-                    delivered,
-                    fault,
-                });
+                    &mut self.traces[idx],
+                    self.fault.as_mut().map(|f| (f, &mut self.delivered[idx])),
+                    now,
+                    ambient + offsets[idx],
+                    elapsed_secs,
+                );
             }
         }
-
-        let shards = if self.shards > 0 {
-            self.shards
-        } else {
-            self.threads
-        };
-        let bounds = shard::shard_bounds(count, shards);
-        let splits: Vec<usize> = bounds
-            .iter()
-            .skip(1)
-            .map(|(start, _)| units.partition_point(|u| u.idx < *start))
-            .collect();
-        shard::for_each_split(&mut units, &splits, self.threads, |chunk| {
-            for unit in chunk.iter_mut() {
-                let idx = unit.idx;
-                let local_ambient = ambient + offsets[idx];
-                unit.server.step(
-                    now,
-                    Celsius::new(local_ambient),
-                    Seconds::new(unit.elapsed_secs),
-                );
-                let reading = unit.server.read_sensor();
-                let recorded = unit
-                    .trace
-                    .sensor_c
-                    .push(now, reading)
-                    .and(unit.trace.die_c.push(now, unit.server.die_temperature()))
-                    .and(
-                        unit.trace
-                            .utilization
-                            .push(now, unit.server.last_utilization()),
-                    )
-                    .and(unit.trace.power_w.push(now, unit.server.last_power()))
-                    .and(unit.trace.ambient_c.push(now, local_ambient));
-                debug_assert!(recorded.is_ok(), "engine clock regressed: {recorded:?}");
-                if let (Some(plan), Some(state), Some(sink)) = (
-                    plan,
-                    unit.fault.as_deref_mut(),
-                    unit.delivered.as_deref_mut(),
-                ) {
-                    if let Some((t, v)) = state.deliver(
-                        plan,
-                        idx,
-                        Seconds::new(now.as_secs_f64()),
-                        Celsius::new(reading),
-                    ) {
-                        sink.push((t.get(), v.get()));
-                    }
-                }
-            }
-        });
-        drop(units);
 
         // Re-arm serially in index order: double the interval while the
         // server is provably steady, else fall back to the base step, and
@@ -1247,6 +985,43 @@ impl Simulation {
                     self.push_log(self.clock, SimEvent::EventFailed { error });
                 }
             }
+        }
+    }
+}
+
+/// Advances one server's physics by `elapsed_secs` starting at `at`,
+/// records the resulting sample in its trace under `at`, and — when a
+/// fault plan is installed — routes the sensor reading through the
+/// injector into the server's delivery stream. The fixed loop, event
+/// wake-ups and event catch-up settles all step servers through here.
+fn step_server(
+    server: &mut Server,
+    trace: &mut ServerTrace,
+    fault: Option<(&mut FaultInjector, &mut Vec<(f64, f64)>)>,
+    at: SimTime,
+    local_ambient: f64,
+    elapsed_secs: f64,
+) {
+    server.step(at, Celsius::new(local_ambient), Seconds::new(elapsed_secs));
+    let reading = server.read_sensor();
+    let recorded = trace
+        .sensor_c
+        .push(at, reading)
+        .and(trace.die_c.push(at, server.die_temperature()))
+        .and(trace.utilization.push(at, server.last_utilization()))
+        .and(trace.power_w.push(at, server.last_power()))
+        .and(trace.ambient_c.push(at, local_ambient));
+    // The engine clock is monotone, so recording cannot go backwards.
+    debug_assert!(recorded.is_ok(), "engine clock regressed: {recorded:?}");
+    // The trace above is ground truth; the monitoring plane sees the
+    // reading only after the fault channels have had their say.
+    if let Some((injector, sink)) = fault {
+        if let Some((t, v)) = injector.deliver(
+            server.id().raw(),
+            Seconds::new(at.as_secs_f64()),
+            Celsius::new(reading),
+        ) {
+            sink.push((t.get(), v.get()));
         }
     }
 }
@@ -1688,61 +1463,6 @@ mod tests {
         assert!(!clean.log_entry_lost(0));
     }
 
-    /// A faulted 11-server fleet advanced for `steps`, fingerprinted by
-    /// every value that feeds downstream consumers.
-    fn sharded_fingerprint(threads: usize, shards: usize, steps: u64) -> Vec<u64> {
-        let dc = Datacenter::homogeneous(&ServerSpec::standard("n"), 11, 4, Celsius::new(24.0), 5);
-        let mut sim = Simulation::new(dc, AmbientModel::Fixed(24.0), 9).with_threads(threads);
-        sim.set_shards(shards);
-        sim.set_fault_plan(
-            crate::fault::FaultPlan::new(21)
-                .with_dropout(
-                    crate::fault::DropoutFault::random(0.02, Seconds::new(2.0), Seconds::new(6.0))
-                        .unwrap(),
-                )
-                .with_spike(
-                    crate::fault::SpikeFault::random(0.05, Celsius::new(4.0), Celsius::new(9.0))
-                        .unwrap(),
-                )
-                .with_jitter(crate::fault::JitterFault::random(0.1, Seconds::new(1.5)).unwrap()),
-        )
-        .unwrap();
-        for s in 0..11 {
-            sim.boot_vm_now(ServerId::new(s), spec(2, 4.0)).unwrap();
-        }
-        sim.run_until(SimTime::from_secs(steps));
-        let mut fp = vec![sim.room_heat_kw.to_bits()];
-        for s in 0..sim.datacenter().len() {
-            let id = ServerId::new(s);
-            let server = sim.datacenter().server(id).unwrap();
-            fp.push(server.die_temperature().to_bits());
-            let trace = sim.trace(id).unwrap();
-            for (t, v) in trace.sensor_c.iter() {
-                fp.push(t.to_bits());
-                fp.push(v.to_bits());
-            }
-            for (t, v) in sim.delivered(id).unwrap() {
-                fp.push(t.to_bits());
-                fp.push(v.to_bits());
-            }
-            let stats = sim.fault.as_ref().unwrap().stats(s);
-            fp.extend([stats.dropped, stats.stuck, stats.spiked, stats.jittered]);
-        }
-        fp
-    }
-
-    #[test]
-    fn sharded_stepping_is_bit_identical_across_threads_and_shards() {
-        let reference = sharded_fingerprint(1, 0, 40);
-        for (threads, shards) in [(1, 3), (2, 0), (2, 5), (4, 0), (4, 2), (8, 11), (3, 64)] {
-            assert_eq!(
-                reference,
-                sharded_fingerprint(threads, shards, 40),
-                "threads={threads} shards={shards} diverged from serial"
-            );
-        }
-    }
-
     /// A mostly-idle 6-server fleet with mid-run transients of every
     /// kind: boots, a stop, a fan change, a fan failure, an ambient
     /// swap and a live migration.
@@ -1845,15 +1565,12 @@ mod tests {
     }
 
     /// Event-mode fingerprint of *everything* (physics, traces, faulted
-    /// delivery, fault counters) — event mode must be deterministic
-    /// across thread/shard partitions even where it legitimately differs
-    /// from fixed mode (RNG consumption density).
-    fn event_sharded_fingerprint(threads: usize, shards: usize) -> Vec<u64> {
+    /// delivery, fault counters) for a faulted, mostly idle fleet, which
+    /// must still sleep.
+    fn event_faulted_fingerprint() -> Vec<u64> {
         let dc = Datacenter::homogeneous(&ServerSpec::standard("n"), 11, 4, Celsius::new(24.0), 5);
-        let mut sim = Simulation::new(dc, AmbientModel::Fixed(24.0), 9)
-            .with_clock(ClockMode::Event)
-            .with_threads(threads);
-        sim.set_shards(shards);
+        let mut sim =
+            Simulation::new(dc, AmbientModel::Fixed(24.0), 9).with_clock(ClockMode::Event);
         sim.set_fault_plan(
             crate::fault::FaultPlan::new(21)
                 .with_dropout(crate::fault::DropoutFault::scheduled(vec![(60.0, 90.0)]).unwrap())
@@ -1897,15 +1614,8 @@ mod tests {
     }
 
     #[test]
-    fn event_mode_is_bit_identical_across_threads_and_shards() {
-        let reference = event_sharded_fingerprint(1, 0);
-        for (threads, shards) in [(1, 3), (2, 0), (4, 2), (8, 11), (3, 64)] {
-            assert_eq!(
-                reference,
-                event_sharded_fingerprint(threads, shards),
-                "threads={threads} shards={shards} diverged from serial"
-            );
-        }
+    fn faulted_event_mode_sleeps_and_is_deterministic() {
+        assert_eq!(event_faulted_fingerprint(), event_faulted_fingerprint());
     }
 
     #[test]

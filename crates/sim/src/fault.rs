@@ -416,11 +416,11 @@ impl FaultStats {
 
 /// Per-server channel state: one RNG stream plus open-window bookkeeping.
 ///
-/// The RNG stream is derived from `plan.seed ⊕ f(stable server index)`
-/// — never from shard topology — so a server consumes exactly the same
-/// draws whether the fleet steps on one thread or sixteen.
+/// The RNG stream is derived from `plan.seed ⊕ f(stable server index)`,
+/// so a server consumes the same draws however many other servers share
+/// the plan.
 #[derive(Debug, Clone)]
-pub(crate) struct ServerFaultState {
+struct ServerFaultState {
     rng: StdRng,
     drop_until_secs: f64,
     stuck_until_secs: f64,
@@ -445,17 +445,13 @@ impl ServerFaultState {
     }
 
     /// Routes one sensor reading through the active channels of `plan`.
-    ///
-    /// All randomness comes from this state's own stream and all
-    /// bookkeeping lives in `self`, so disjoint server states can be
-    /// driven from different worker threads without any cross-server
-    /// data flow (the obs counters are order-independent atomics).
+    /// All randomness comes from this state's own stream.
     ///
     /// Channel order: stuck → spike → dropout → jitter. A stuck sensor
     /// freezes the raw reading; a spike rides on top of whatever the
     /// sensor path produced; dropout then decides whether anything
     /// leaves the box at all; jitter perturbs only the timestamp.
-    pub(crate) fn deliver(
+    fn deliver(
         &mut self,
         plan: &FaultPlan,
         server: usize,
@@ -615,38 +611,23 @@ impl FaultInjector {
         &self.plan
     }
 
-    /// Grows per-server state up to `count` servers so disjoint states
-    /// exist before the fleet is split across worker threads.
-    pub(crate) fn ensure_servers(&mut self, count: usize) {
-        while self.servers.len() < count {
-            let idx = self.servers.len();
-            self.servers
-                .push(ServerFaultState::new(self.plan.seed, idx));
-        }
-    }
-
-    /// Splits the injector into its (shared) plan and the per-server
-    /// state slice, indexed by stable server id. Call
-    /// [`FaultInjector::ensure_servers`] first: the slice only covers
-    /// servers that already have state.
-    pub(crate) fn split_mut(&mut self) -> (&FaultPlan, &mut [ServerFaultState]) {
-        (&self.plan, &mut self.servers)
-    }
-
     /// Routes one sensor reading through the active channels. Returns the
     /// (possibly re-timestamped, possibly corrupted) sample to deliver, or
     /// `None` when it was dropped.
     ///
     /// Channel order: stuck → spike → dropout → jitter (see
-    /// [`ServerFaultState::deliver`], which holds the channel logic so
-    /// the sharded engine can drive disjoint server states directly).
+    /// [`ServerFaultState::deliver`]).
     pub fn deliver(
         &mut self,
         server: usize,
         t: Seconds,
         reading: Celsius,
     ) -> Option<(Seconds, Celsius)> {
-        self.ensure_servers(server + 1);
+        while self.servers.len() <= server {
+            let idx = self.servers.len();
+            self.servers
+                .push(ServerFaultState::new(self.plan.seed, idx));
+        }
         self.servers[server].deliver(&self.plan, server, t, reading)
     }
 

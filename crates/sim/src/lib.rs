@@ -95,7 +95,7 @@ pub use fault::{
     StuckFault,
 };
 pub use scenario::{
-    oracle::{OracleConfig, OracleFailure, ScenarioReport},
+    oracle::{OracleFailure, ScenarioReport},
     shrink::ShrinkResult,
     Scenario, ScenarioAction, ScenarioEvent,
 };

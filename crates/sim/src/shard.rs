@@ -1,21 +1,18 @@
-//! Deterministic sharded execution for fleet-scale stepping.
+//! Deterministic fork-join over contiguous chunks, for experiment-level
+//! parallelism (`vmtherm_core::stable::run_experiments_threaded`).
 //!
-//! The fleet is partitioned into **contiguous shards** — disjoint
-//! `&mut` sub-slices of the per-server state arrays — and a scoped
-//! worker pool drains the shard queue. Because every shard owns a
-//! disjoint, index-addressed range of servers and all mutation happens
-//! in place through those exclusive borrows, the end state is
-//! **bit-identical for any thread count and any shard partitioning**:
-//! there is no cross-shard data flow whose order could vary, and every
-//! serial reduction (room heat, fleet MSE, sketch merges) runs after
-//! the scope closes, in fixed server-index order. This is the same
-//! contract as `vmtherm_svm::grid`'s index-addressed merge, which the
-//! L9 lint vets; this module is its sibling on the simulator side.
+//! Items are partitioned into **contiguous shards** — disjoint `&mut`
+//! sub-slices — and a scoped worker pool drains the shard queue.
+//! Because every shard owns a disjoint, index-addressed range and all
+//! mutation happens in place through those exclusive borrows, the end
+//! state is **bit-identical for any thread count and any shard
+//! partitioning**: there is no cross-shard data flow whose order could
+//! vary. This is the same contract as `vmtherm_svm::grid`'s
+//! index-addressed merge, which the L9 lint vets; this module is its
+//! sibling on the simulator side.
 //!
-//! Per-server RNG streams are derived from `seed ⊕ f(stable server
-//! index)` (see `fault::ServerFaultState::new` and the VM workload
-//! seeds), never from shard topology, so the draws a server consumes do
-//! not depend on which shard stepped it.
+//! The engine and the fleet monitor step serially: per-server work per
+//! tick is too small for a fork per tick to pay (DESIGN.md §10).
 
 /// Splits `len` items into at most `shards` contiguous ranges of
 /// near-equal size (the first `len % shards` ranges are one longer).
@@ -54,8 +51,8 @@ pub fn shard_bounds(len: usize, shards: usize) -> Vec<(usize, usize)> {
 /// `items` is split according to [`shard_bounds`]`(items.len(), shards)`
 /// and each worker repeatedly takes the next unclaimed chunk. `f`
 /// receives `(offset, chunk)` where `offset` is the global index of
-/// `chunk[0]`, so callers address global per-server state (RNG streams,
-/// gauge names) by stable index rather than by shard position.
+/// `chunk[0]`, so callers address global per-item state (RNG streams,
+/// result slots) by stable index rather than by shard position.
 ///
 /// Determinism contract: `f` must only mutate state reachable through
 /// its exclusive `chunk` borrow (plus order-independent atomics such as
@@ -64,9 +61,8 @@ pub fn shard_bounds(len: usize, shards: usize) -> Vec<(usize, usize)> {
 /// order cannot influence any value.
 ///
 /// With `threads <= 1` or a single chunk the work runs inline on the
-/// caller's thread — no pool is spun up, so the serial path stays
-/// allocation-free. Worker panics are re-raised on the caller with
-/// their original payload.
+/// caller's thread and no pool is spun up. Worker panics are re-raised
+/// on the caller with their original payload.
 pub fn for_each_chunk<T, F>(items: &mut [T], shards: usize, threads: usize, f: F)
 where
     T: Send,
@@ -87,65 +83,17 @@ where
         consumed = *end;
     }
 
-    drain_jobs(chunks, threads, |(offset, chunk)| f(offset, chunk));
-}
-
-/// Runs `f` over the chunks obtained by splitting `items` at the given
-/// ascending split positions, on the same scoped worker pool as
-/// [`for_each_chunk`].
-///
-/// Unlike [`for_each_chunk`], the caller controls the partition. The
-/// event-driven engine uses this to split a *sparse* wake-up batch at
-/// the positions where the dense [`shard_bounds`] partition of the full
-/// server range would cut it, so wake-up batches shard exactly as dense
-/// steps do. Empty chunks are skipped; the same determinism contract as
-/// [`for_each_chunk`] applies (exclusive borrows only, bit-identical
-/// for every thread count).
-///
-/// # Panics
-///
-/// Panics if a split position is out of range or positions descend.
-pub fn for_each_split<T, F>(items: &mut [T], splits: &[usize], threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(&mut [T]) + Sync,
-{
-    let mut chunks: Vec<&mut [T]> = Vec::with_capacity(splits.len() + 1);
-    let mut rest = items;
-    let mut consumed = 0;
-    for &pos in splits {
-        assert!(pos >= consumed, "split positions must ascend");
-        let (chunk, tail) = rest.split_at_mut(pos - consumed);
-        if !chunk.is_empty() {
-            chunks.push(chunk);
-        }
-        rest = tail;
-        consumed = pos;
-    }
-    if !rest.is_empty() {
-        chunks.push(rest);
-    }
-    drain_jobs(chunks, threads, f);
-}
-
-/// Drains a job list on a scoped worker pool (inline when `threads <= 1`
-/// or there is at most one job). Job pick-up order is arbitrary; callers
-/// rely only on the exclusive-borrow contract for determinism. Worker
-/// panics are re-raised on the caller with their original payload.
-fn drain_jobs<J, F>(jobs: Vec<J>, threads: usize, f: F)
-where
-    J: Send,
-    F: Fn(J) + Sync,
-{
-    if threads <= 1 || jobs.len() <= 1 {
-        for job in jobs {
-            f(job);
+    if threads <= 1 || chunks.len() <= 1 {
+        for (offset, chunk) in chunks {
+            f(offset, chunk);
         }
         return;
     }
 
-    let workers = threads.min(jobs.len());
-    let queue = std::sync::Mutex::new(jobs);
+    // Chunk pick-up order is arbitrary; determinism rests only on the
+    // exclusive-borrow contract above.
+    let workers = threads.min(chunks.len());
+    let queue = std::sync::Mutex::new(chunks);
 
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
@@ -158,7 +106,7 @@ where
                         q.pop()
                     };
                     match job {
-                        Some(job) => f(job),
+                        Some((offset, chunk)) => f(offset, chunk),
                         None => break,
                     }
                 })
@@ -253,40 +201,5 @@ mod tests {
     fn empty_input_is_a_no_op() {
         let mut data: Vec<u32> = Vec::new();
         for_each_chunk(&mut data, 4, 4, |_, _| panic!("no chunks expected"));
-    }
-
-    #[test]
-    fn split_partitions_at_exact_positions() {
-        let mut data: Vec<u32> = (0..10).collect();
-        let seen = std::sync::Mutex::new(Vec::new());
-        for_each_split(&mut data, &[3, 3, 7], 1, |chunk| {
-            seen.lock().unwrap().push(chunk.to_vec());
-        });
-        // Serial execution visits chunks in order; the empty 3..3 chunk
-        // is skipped.
-        assert_eq!(
-            *seen.lock().unwrap(),
-            vec![vec![0, 1, 2], vec![3, 4, 5, 6], vec![7, 8, 9]]
-        );
-    }
-
-    #[test]
-    fn split_is_identical_across_thread_counts() {
-        let run = |threads: usize| -> Vec<f64> {
-            let mut data: Vec<f64> = (0..29).map(|i| f64::from(i) * 0.3).collect();
-            for_each_split(&mut data, &[5, 11, 11, 20], threads, |chunk| {
-                for v in chunk.iter_mut() {
-                    *v = (*v).cos() * 1.7;
-                }
-            });
-            data
-        };
-        let reference = run(1);
-        for threads in [2, 4, 8] {
-            let got = run(threads);
-            for (a, b) in reference.iter().zip(&got) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
     }
 }

@@ -7,9 +7,14 @@
 //! too) feeds the registry while concurrent clients scrape `/metrics`.
 //! The end state must be bit-identical to an unserved, unscraped run —
 //! serving is read-only by construction, and this pins it.
+//!
+//! The run advances in slices, and after each slice the engine waits
+//! until at least one more scrape has completed, so scrapes interleave
+//! with stepping however the host schedules the threads.
 
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -58,6 +63,18 @@ fn build_sim() -> Simulation {
     sim
 }
 
+/// Simulated horizon (s) and the slice length (s) the run advances by.
+const HORIZON_SECS: u64 = 1800;
+const SLICE_SECS: u64 = 100;
+
+/// Runs `sim` to the horizon in slices, calling `between` after each.
+fn run_in_slices(sim: &mut Simulation, mut between: impl FnMut()) {
+    for end in (SLICE_SECS..=HORIZON_SECS).step_by(SLICE_SECS as usize) {
+        sim.run_until(SimTime::from_secs(end));
+        between();
+    }
+}
+
 fn fingerprint(sim: &Simulation) -> Vec<u64> {
     let mut bits = vec![sim.datacenter().room_heat_kw().to_bits()];
     for s in 0..sim.datacenter().len() {
@@ -71,9 +88,9 @@ fn fingerprint(sim: &Simulation) -> Vec<u64> {
 
 #[test]
 fn concurrent_scrapes_during_engine_stepping_do_not_perturb_the_run() {
-    // Baseline: no server, obs disabled.
+    // Baseline: no server, obs disabled, same slicing.
     let mut baseline = build_sim();
-    baseline.run_until(SimTime::from_secs(1800));
+    run_in_slices(&mut baseline, || {});
     let expected = fingerprint(&baseline);
 
     obs::set_enabled(true);
@@ -84,9 +101,11 @@ fn concurrent_scrapes_during_engine_stepping_do_not_perturb_the_run() {
     // every response must be a complete 200, torn or failed scrapes fail
     // the worker thread and therefore the test.
     let done = Arc::new(AtomicBool::new(false));
+    let (completed_tx, completed) = mpsc::channel::<()>();
     let scrapers: Vec<_> = (0..3)
         .map(|_| {
             let done = Arc::clone(&done);
+            let completed = completed_tx.clone();
             std::thread::spawn(move || {
                 let mut scrapes = 0u32;
                 while !done.load(Ordering::Relaxed) {
@@ -94,14 +113,23 @@ fn concurrent_scrapes_during_engine_stepping_do_not_perturb_the_run() {
                     assert_eq!(status, 200);
                     assert!(!body.is_empty());
                     scrapes += 1;
+                    let _ = completed.send(());
                 }
                 scrapes
             })
         })
         .collect();
+    drop(completed_tx);
 
     let mut sim = build_sim();
-    sim.run_until(SimTime::from_secs(1800));
+    run_in_slices(&mut sim, || {
+        // Hold the engine until a scrape has completed since the last
+        // slice. If every scraper died the channel closes, and their
+        // panics surface at join below.
+        if completed.try_iter().count() == 0 {
+            let _ = completed.recv();
+        }
+    });
     done.store(true, Ordering::Relaxed);
 
     let mut total_scrapes = 0;

@@ -187,7 +187,8 @@ impl Dataset {
     ///
     /// # Errors
     ///
-    /// Returns [`SvmError::Parse`] on malformed lines and
+    /// Returns [`SvmError::Parse`] on malformed lines, including
+    /// non-finite targets or feature values (`nan`, `inf`), and
     /// [`SvmError::EmptyDataset`] if no samples are present.
     pub fn from_libsvm(text: &str, dim: usize) -> Result<Self, SvmError> {
         let mut ds = Dataset::new(dim);
@@ -202,6 +203,12 @@ impl Dataset {
                 .ok_or_else(|| SvmError::parse(lineno + 1, "missing target"))?
                 .parse()
                 .map_err(|_| SvmError::parse(lineno + 1, "bad target"))?;
+            if !y.is_finite() {
+                return Err(SvmError::parse(
+                    lineno + 1,
+                    format!("non-finite target {y}"),
+                ));
+            }
             let mut x = vec![0.0; dim];
             for tok in parts {
                 let (idx, val) = tok
@@ -213,6 +220,12 @@ impl Dataset {
                 let val: f64 = val
                     .parse()
                     .map_err(|_| SvmError::parse(lineno + 1, "bad feature value"))?;
+                if !val.is_finite() {
+                    return Err(SvmError::parse(
+                        lineno + 1,
+                        format!("non-finite value {val} for feature {idx}"),
+                    ));
+                }
                 if idx == 0 || idx > dim {
                     return Err(SvmError::parse(
                         lineno + 1,
@@ -368,6 +381,22 @@ mod tests {
     fn libsvm_parse_rejects_bad_target() {
         let err = Dataset::from_libsvm("abc 1:1\n", 2).unwrap_err();
         assert!(matches!(err, SvmError::Parse { .. }));
+    }
+
+    #[test]
+    fn libsvm_parse_rejects_non_finite_values() {
+        for (text, line) in [
+            ("1 1:1\nnan 1:1\n", 2),
+            ("inf 1:1\n", 1),
+            ("1 1:1\n1 1:2\n1 1:nan 2:inf\n", 3),
+            ("1 2:-inf\n", 1),
+        ] {
+            let err = Dataset::from_libsvm(text, 2).unwrap_err();
+            assert!(
+                matches!(err, SvmError::Parse { line: l, .. } if l == line),
+                "{text:?}: {err:?}"
+            );
+        }
     }
 
     #[test]

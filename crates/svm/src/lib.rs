@@ -53,8 +53,8 @@
 //! - [`matrix`] — the flat row-major [`matrix::DenseMatrix`] feature storage
 //! - [`scale`] — `svm-scale`-style feature scaling
 //! - [`kernel`] — kernel functions and the solver's row cache
-//! - [`svr`] / [`nusvr`] / [`svc`] / [`oneclass`] — ε/ν regression,
-//!   classification and novelty-detection models
+//! - [`svr`] / [`svc`] / [`oneclass`] — ε-regression, classification
+//!   and novelty-detection models
 //! - [`cv`] / [`grid`] — 10-fold CV and `easygrid` parameter search
 //! - [`metrics`] — MSE and friends (the paper's reporting metric)
 //! - [`model_io`] — LIBSVM-style model files
@@ -78,7 +78,6 @@ pub mod linalg;
 pub mod matrix;
 pub mod metrics;
 pub mod model_io;
-pub mod nusvr;
 pub mod oneclass;
 pub mod scale;
 mod smo;
@@ -89,7 +88,6 @@ pub use data::Dataset;
 pub use error::SvmError;
 pub use kernel::Kernel;
 pub use matrix::DenseMatrix;
-pub use nusvr::{NuSvrModel, NuSvrParams};
 pub use oneclass::{OneClassModel, OneClassParams};
 pub use scale::{ScaleMethod, Scaler};
 pub use svc::{SvcModel, SvcParams};

@@ -576,228 +576,6 @@ fn reconstruct_gradient(
     }
 }
 
-/// Result of a ν-problem solve: like [`Solution`] plus the second dual
-/// multiplier `r` (for ν-SVR, the learned tube half-width is `−r`).
-#[derive(Debug, Clone)]
-pub(crate) struct NuSolution {
-    /// The base solution (alpha, rho, objective, iterations, converged).
-    pub base: Solution,
-    /// The `r` multiplier of the second equality constraint.
-    pub r: f64,
-}
-
-/// Solves the ν-variant dual: same box and `yᵀa` constraint as
-/// [`solve`], plus the implicit second constraint conserved by restricting
-/// working pairs to a single label group (LIBSVM's `Solver_NU`).
-pub(crate) fn solve_nu(
-    q: &mut dyn QMatrix,
-    p: &[f64],
-    y: &[f64],
-    c: &[f64],
-    mut alpha: Vec<f64>,
-    options: SolveOptions,
-) -> NuSolution {
-    let n = q.len();
-    debug_assert_eq!(p.len(), n);
-    let mut grad: Vec<f64> = p.to_vec();
-    for i in 0..n {
-        if alpha[i] != 0.0 {
-            let ai = alpha[i];
-            let row = q.row(i);
-            for (g, qij) in grad.iter_mut().zip(row) {
-                *g += ai * qij;
-            }
-        }
-    }
-
-    let mut iterations = 0;
-    let mut converged = false;
-    while iterations < options.max_iterations {
-        let Some((i, j)) = select_working_set_nu(q, &grad, y, c, &alpha, options.tolerance) else {
-            converged = true;
-            break;
-        };
-        iterations += 1;
-        let qi = q.row(i).to_vec();
-        let qj = q.row(j).to_vec();
-        let old_ai = alpha[i];
-        let old_aj = alpha[j];
-        // Pairs share a label group, so only the y_i == y_j update applies.
-        let mut quad = q.diag(i) + q.diag(j) - 2.0 * qi[j];
-        if quad <= 0.0 {
-            quad = TAU;
-        }
-        let delta = (grad[i] - grad[j]) / quad;
-        let sum = alpha[i] + alpha[j];
-        let (ci, cj) = (c[i], c[j]);
-        alpha[i] -= delta;
-        alpha[j] += delta;
-        if sum > ci {
-            if alpha[i] > ci {
-                alpha[i] = ci;
-                alpha[j] = sum - ci;
-            }
-        } else if alpha[j] < 0.0 {
-            alpha[j] = 0.0;
-            alpha[i] = sum;
-        }
-        if sum > cj {
-            if alpha[j] > cj {
-                alpha[j] = cj;
-                alpha[i] = sum - cj;
-            }
-        } else if alpha[i] < 0.0 {
-            alpha[i] = 0.0;
-            alpha[j] = sum;
-        }
-        let dai = alpha[i] - old_ai;
-        let daj = alpha[j] - old_aj;
-        if dai == 0.0 && daj == 0.0 {
-            converged = true;
-            break;
-        }
-        for t in 0..n {
-            grad[t] += qi[t] * dai + qj[t] * daj;
-        }
-    }
-
-    let (rho, r) = compute_rho_nu(&grad, y, c, &alpha);
-    let objective = 0.5
-        * alpha
-            .iter()
-            .zip(grad.iter().zip(p))
-            .map(|(a, (g, pi))| a * (g + pi))
-            .sum::<f64>();
-    NuSolution {
-        base: Solution {
-            alpha,
-            rho,
-            objective,
-            iterations,
-            converged,
-        },
-        r,
-    }
-}
-
-/// Working-set selection for the ν-problem: the best second-order pair
-/// *within* each label group, as in LIBSVM's `Solver_NU`.
-fn select_working_set_nu(
-    q: &mut dyn QMatrix,
-    grad: &[f64],
-    y: &[f64],
-    c: &[f64],
-    alpha: &[f64],
-    tolerance: f64,
-) -> Option<(usize, usize)> {
-    let n = grad.len();
-    let mut gmax_p = f64::NEG_INFINITY;
-    let mut ip: Option<usize> = None;
-    let mut gmax_n = f64::NEG_INFINITY;
-    let mut i_n: Option<usize> = None;
-    for t in 0..n {
-        if y[t] > 0.0 {
-            if alpha[t] < c[t] && -grad[t] >= gmax_p {
-                gmax_p = -grad[t];
-                ip = Some(t);
-            }
-        } else if alpha[t] > 0.0 && grad[t] >= gmax_n {
-            gmax_n = grad[t];
-            i_n = Some(t);
-        }
-    }
-    let row_p: Option<(usize, Vec<f64>, f64)> = ip.map(|i| (i, q.row(i).to_vec(), q.diag(i)));
-    let row_n: Option<(usize, Vec<f64>, f64)> = i_n.map(|i| (i, q.row(i).to_vec(), q.diag(i)));
-
-    let mut gmax_p2 = f64::NEG_INFINITY;
-    let mut gmax_n2 = f64::NEG_INFINITY;
-    let mut obj_min = f64::INFINITY;
-    let mut best: Option<(usize, usize)> = None;
-    for t in 0..n {
-        if y[t] > 0.0 {
-            if alpha[t] > 0.0 {
-                if grad[t] > gmax_p2 {
-                    gmax_p2 = grad[t];
-                }
-                if let Some((i, qi, di)) = &row_p {
-                    let grad_diff = gmax_p + grad[t];
-                    if grad_diff > 0.0 {
-                        let mut quad = di + q.diag(t) - 2.0 * qi[t];
-                        if quad <= 0.0 {
-                            quad = TAU;
-                        }
-                        let obj = -(grad_diff * grad_diff) / quad;
-                        if obj <= obj_min {
-                            obj_min = obj;
-                            best = Some((*i, t));
-                        }
-                    }
-                }
-            }
-        } else if alpha[t] < c[t] {
-            if -grad[t] > gmax_n2 {
-                gmax_n2 = -grad[t];
-            }
-            if let Some((i, qi, di)) = &row_n {
-                let grad_diff = gmax_n - grad[t];
-                if grad_diff > 0.0 {
-                    let mut quad = di + q.diag(t) - 2.0 * qi[t];
-                    if quad <= 0.0 {
-                        quad = TAU;
-                    }
-                    let obj = -(grad_diff * grad_diff) / quad;
-                    if obj <= obj_min {
-                        obj_min = obj;
-                        best = Some((*i, t));
-                    }
-                }
-            }
-        }
-    }
-    if gmax_p + gmax_p2 < tolerance && gmax_n + gmax_n2 < tolerance {
-        return None;
-    }
-    best
-}
-
-/// `rho` and `r` for the ν-problem: per-group free-variable averages
-/// (LIBSVM `Solver_NU::calculate_rho`).
-fn compute_rho_nu(grad: &[f64], y: &[f64], c: &[f64], alpha: &[f64]) -> (f64, f64) {
-    let group = |sign: f64| {
-        let mut ub = f64::INFINITY;
-        let mut lb = f64::NEG_INFINITY;
-        let mut sum = 0.0;
-        let mut count = 0usize;
-        for t in 0..grad.len() {
-            if (y[t] > 0.0) != (sign > 0.0) {
-                continue;
-            }
-            if alpha[t] >= c[t] {
-                lb = lb.max(grad[t]);
-            } else if alpha[t] <= 0.0 {
-                ub = ub.min(grad[t]);
-            } else {
-                sum += grad[t];
-                count += 1;
-            }
-        }
-        if count > 0 {
-            sum / count as f64
-        } else if ub.is_finite() && lb.is_finite() {
-            (ub + lb) / 2.0
-        } else if ub.is_finite() {
-            ub
-        } else if lb.is_finite() {
-            lb
-        } else {
-            0.0
-        }
-    };
-    let r1 = group(1.0);
-    let r2 = group(-1.0);
-    ((r1 - r2) / 2.0, (r1 + r2) / 2.0)
-}
-
 /// Second-order working-set selection (WSS2 from Fan, Chen & Lin 2005),
 /// restricted to `active` variables.
 ///

@@ -3,8 +3,8 @@
 //! fuzz → shrink → check-in loop. Each file must:
 //!
 //! * parse losslessly (value round-trip through the JSON codec);
-//! * pass determinism, fixed-vs-event clock equivalence, shard-grid
-//!   bit-identity, clean-path identity and the physical invariants;
+//! * pass determinism, fixed-vs-event clock equivalence, clean-path
+//!   identity and the physical invariants;
 //! * keep the fleet monitor internally consistent when driven over the
 //!   fixed-clock run.
 //!
@@ -17,9 +17,7 @@ use std::sync::OnceLock;
 use vmtherm::core::dynamic::DynamicConfig;
 use vmtherm::core::monitor::FleetMonitor;
 use vmtherm::core::stable::{run_experiments, StablePredictor, TrainingOptions};
-use vmtherm::sim::scenario::oracle::{
-    check_scenario, physical_fingerprint, run_to_end, OracleConfig,
-};
+use vmtherm::sim::scenario::oracle::{check_scenario, physical_fingerprint, run_to_end};
 use vmtherm::sim::{AmbientModel, CaseGenerator, ClockMode, Scenario, SimDuration};
 use vmtherm::svm::kernel::Kernel;
 use vmtherm::svm::svr::SvrParams;
@@ -101,8 +99,8 @@ fn corpus_is_present_and_round_trips() {
 #[test]
 fn corpus_passes_the_oracle_battery() {
     for (path, scenario) in corpus() {
-        let report = check_scenario(&scenario, &OracleConfig::default())
-            .unwrap_or_else(|e| panic!("{} battery: {e}", path.display()));
+        let report =
+            check_scenario(&scenario).unwrap_or_else(|e| panic!("{} battery: {e}", path.display()));
         assert!(
             report.passed(),
             "{} regressed: {:?}",
@@ -117,8 +115,8 @@ fn corpus_clock_modes_agree_bit_for_bit() {
     // The battery already checks this, but the direct statement is the
     // one a future clock change will trip first — keep it explicit.
     for (path, scenario) in corpus() {
-        let fixed = run_to_end(&scenario, ClockMode::Fixed, 1, 1).expect("fixed run");
-        let event = run_to_end(&scenario, ClockMode::Event, 1, 1).expect("event run");
+        let fixed = run_to_end(&scenario, ClockMode::Fixed).expect("fixed run");
+        let event = run_to_end(&scenario, ClockMode::Event).expect("event run");
         assert_eq!(
             physical_fingerprint(&fixed),
             physical_fingerprint(&event),
