@@ -766,7 +766,7 @@ impl FleetMonitor {
         }
     }
 
-    /// MSE over the most recent [`ROLLING_WINDOW`] scored forecasts for a
+    /// MSE over the most recent `ROLLING_WINDOW` scored forecasts for a
     /// server (`NaN` before any matured). While fewer than a full window
     /// have been scored this equals [`ServerStats::mse`].
     #[must_use]

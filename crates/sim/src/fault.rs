@@ -616,7 +616,7 @@ impl FaultInjector {
     /// `None` when it was dropped.
     ///
     /// Channel order: stuck → spike → dropout → jitter (see
-    /// [`ServerFaultState::deliver`]).
+    /// `ServerFaultState::deliver`).
     pub fn deliver(
         &mut self,
         server: usize,

@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// A kernel function `K(x, z)` over dense feature vectors.
 ///
 /// All variants are cheap `Copy` values; the expensive state (kernel rows)
-/// is cached by the solver, not by the kernel itself.
+/// is held by the solver, not by the kernel itself.
 ///
 /// ```
 /// use vmtherm_svm::kernel::Kernel;
@@ -90,7 +90,7 @@ impl Kernel {
     ///
     /// The kernel dispatch is hoisted out of the row loop and the matrix is
     /// walked in row-major order, so the pass streams through one
-    /// contiguous allocation, [`ROW_UNROLL`] rows at a time (the rows'
+    /// contiguous allocation, `ROW_UNROLL` rows at a time (the rows'
     /// independent accumulator chains pipeline where the scalar path
     /// serialises on one). Each entry is computed with exactly the same
     /// arithmetic, in the same order, as [`Kernel::eval`], so results are
@@ -337,8 +337,8 @@ impl std::fmt::Display for Kernel {
 
 /// Computes the full symmetric kernel (Gram) matrix for a set of points.
 ///
-/// Used by tests and small-problem utilities; the SMO solver computes rows
-/// on demand through [`RowCache`] instead of materialising the full matrix.
+/// Used by tests and small-problem utilities; the SMO solver instead
+/// computes each kernel row on its first use and keeps it for the solve.
 #[must_use]
 pub fn gram_matrix(kernel: Kernel, points: &DenseMatrix) -> DenseMatrix {
     let n = points.rows();
@@ -351,99 +351,6 @@ pub fn gram_matrix(kernel: Kernel, points: &DenseMatrix) -> DenseMatrix {
         }
     }
     g
-}
-
-/// An LRU cache of kernel-matrix rows.
-///
-/// The SMO solver touches rows `i` and `j` of the (implicit) kernel matrix on
-/// every iteration; recomputing a row costs `O(n · d)`. Training sets in this
-/// project are small enough that most rows fit in cache, but the LRU bound
-/// keeps memory use predictable for large sweeps.
-#[derive(Debug)]
-pub struct RowCache {
-    rows: Vec<Option<Vec<f64>>>,
-    /// Recency stamps; larger = more recent.
-    stamps: Vec<u64>,
-    clock: u64,
-    cached: usize,
-    capacity: usize,
-    hits: u64,
-    misses: u64,
-}
-
-impl RowCache {
-    /// Creates a cache able to hold up to `capacity` rows of an `n`-row
-    /// matrix. A `capacity` of zero is clamped to one so the solver can
-    /// always hold its working row.
-    #[must_use]
-    pub fn new(n: usize, capacity: usize) -> Self {
-        RowCache {
-            rows: vec![None; n],
-            stamps: vec![0; n],
-            clock: 0,
-            cached: 0,
-            capacity: capacity.max(1),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Returns row `i`, computing it with `compute` on a miss.
-    ///
-    /// The returned slice lives as long as the cache is not mutated again,
-    /// so callers clone when they need two rows at once.
-    pub fn row<F>(&mut self, i: usize, compute: F) -> &[f64]
-    where
-        F: FnOnce() -> Vec<f64>,
-    {
-        self.clock += 1;
-        if self.rows[i].is_none() {
-            self.misses += 1;
-            if self.cached >= self.capacity {
-                self.evict_lru(i);
-            }
-            self.rows[i] = Some(compute());
-            self.cached += 1;
-        } else {
-            self.hits += 1;
-        }
-        self.stamps[i] = self.clock;
-        // The row was inserted just above on a miss, so the slot is always
-        // occupied; the empty-slice arm exists only to avoid a panic site.
-        self.rows[i].as_deref().unwrap_or(&[])
-    }
-
-    fn evict_lru(&mut self, keep: usize) {
-        let victim = self
-            .rows
-            .iter()
-            .enumerate()
-            .filter(|(idx, r)| r.is_some() && *idx != keep)
-            .min_by_key(|(idx, _)| self.stamps[*idx])
-            .map(|(idx, _)| idx);
-        if let Some(v) = victim {
-            self.rows[v] = None;
-            self.cached -= 1;
-        }
-    }
-
-    /// Number of cache hits since construction.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Number of cache misses since construction.
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Number of rows currently resident.
-    #[must_use]
-    pub fn resident(&self) -> usize {
-        self.cached
-    }
 }
 
 #[cfg(test)]
@@ -649,36 +556,6 @@ mod tests {
         let m = DenseMatrix::from_nested(vec![vec![1.0]]).unwrap();
         let mut out = vec![0.0; 2];
         Kernel::Linear.eval_row_batch(&[1.0], &m, &mut out);
-    }
-
-    #[test]
-    fn row_cache_hits_and_misses() {
-        let mut cache = RowCache::new(4, 2);
-        let r = cache.row(0, || vec![0.0; 4]).to_vec();
-        assert_eq!(r.len(), 4);
-        let _ = cache.row(0, || panic!("must be cached"));
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 1);
-    }
-
-    #[test]
-    fn row_cache_evicts_least_recently_used() {
-        let mut cache = RowCache::new(3, 2);
-        let _ = cache.row(0, || vec![0.0]);
-        let _ = cache.row(1, || vec![1.0]);
-        let _ = cache.row(0, || panic!("0 cached")); // refresh 0
-        let _ = cache.row(2, || vec![2.0]); // evicts 1
-        assert_eq!(cache.resident(), 2);
-        let _ = cache.row(1, || vec![1.0]); // recompute: miss
-        assert_eq!(cache.misses(), 4);
-    }
-
-    #[test]
-    fn row_cache_zero_capacity_clamps() {
-        let mut cache = RowCache::new(2, 0);
-        let _ = cache.row(0, || vec![0.0]);
-        let _ = cache.row(1, || vec![1.0]);
-        assert_eq!(cache.resident(), 1);
     }
 
     #[test]

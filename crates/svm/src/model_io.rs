@@ -63,13 +63,7 @@ pub fn svr_from_string(text: &str) -> Result<SvrModel, SvmError> {
             .ok_or_else(|| SvmError::parse(lineno + 1, "expected key=value"))?;
         match key {
             "kernel" => kernel = Some(parse_kernel_tag(value, lineno + 1)?),
-            "bias" => {
-                bias = Some(
-                    value
-                        .parse()
-                        .map_err(|_| SvmError::parse(lineno + 1, "bad bias"))?,
-                );
-            }
+            "bias" => bias = Some(parse_finite(value, lineno + 1, "bias")?),
             "dim" => {
                 dim = Some(
                     value
@@ -104,16 +98,12 @@ pub fn svr_from_string(text: &str) -> Result<SvrModel, SvmError> {
             .next()
             .ok_or_else(|| SvmError::parse(0, "truncated support vectors"))?;
         let mut parts = line.split_whitespace();
-        let coef: f64 = parts
+        let coef = parts
             .next()
-            .ok_or_else(|| SvmError::parse(lineno + 1, "missing coefficient"))?
-            .parse()
-            .map_err(|_| SvmError::parse(lineno + 1, "bad coefficient"))?;
+            .ok_or_else(|| SvmError::parse(lineno + 1, "missing coefficient"))?;
+        let coef = parse_finite(coef, lineno + 1, "coefficient")?;
         let sv: Result<Vec<f64>, SvmError> = parts
-            .map(|t| {
-                t.parse()
-                    .map_err(|_| SvmError::parse(lineno + 1, "bad sv value"))
-            })
+            .map(|t| parse_finite(t, lineno + 1, "sv value"))
             .collect();
         let sv = sv?;
         if sv.len() != dim {
@@ -127,6 +117,18 @@ pub fn svr_from_string(text: &str) -> Result<SvrModel, SvmError> {
     }
 
     SvrModel::from_parts(kernel, support_vectors, coefficients, bias, dim)
+}
+
+/// Parses a finite `f64`. Rust's parser also accepts `nan`, `inf` and
+/// `infinity`, which would load a model that predicts NaN.
+fn parse_finite(token: &str, line: usize, what: &str) -> Result<f64, SvmError> {
+    let v: f64 = token
+        .parse()
+        .map_err(|_| SvmError::parse(line, format!("bad {what}")))?;
+    if !v.is_finite() {
+        return Err(SvmError::parse(line, format!("non-finite {what} {v}")));
+    }
+    Ok(v)
 }
 
 fn kernel_tag(k: Kernel) -> String {
@@ -148,11 +150,10 @@ fn parse_kernel_tag(tag: &str, line: usize) -> Result<Kernel, SvmError> {
         .next()
         .ok_or_else(|| SvmError::parse(line, "empty kernel tag"))?;
     let mut num = || -> Result<f64, SvmError> {
-        parts
+        let token = parts
             .next()
-            .ok_or_else(|| SvmError::parse(line, "kernel tag missing parameter"))?
-            .parse()
-            .map_err(|_| SvmError::parse(line, "bad kernel parameter"))
+            .ok_or_else(|| SvmError::parse(line, "kernel tag missing parameter"))?;
+        parse_finite(token, line, "kernel parameter")
     };
     match name {
         "linear" => Ok(Kernel::Linear),
@@ -231,13 +232,7 @@ pub fn scaler_from_string(text: &str) -> Result<Scaler, SvmError> {
                     }
                 });
             }
-            "base" => {
-                base = Some(
-                    value
-                        .parse()
-                        .map_err(|_| SvmError::parse(lineno + 1, "bad base"))?,
-                );
-            }
+            "base" => base = Some(parse_finite(value, lineno + 1, "base")?),
             "dim" => {
                 dim = Some(
                     value
@@ -263,16 +258,14 @@ pub fn scaler_from_string(text: &str) -> Result<Scaler, SvmError> {
             .next()
             .ok_or_else(|| SvmError::parse(0, "truncated scaler body"))?;
         let mut parts = line.split_whitespace();
-        let o: f64 = parts
+        let o = parts
             .next()
-            .ok_or_else(|| SvmError::parse(lineno + 1, "missing offset"))?
-            .parse()
-            .map_err(|_| SvmError::parse(lineno + 1, "bad offset"))?;
-        let s: f64 = parts
+            .ok_or_else(|| SvmError::parse(lineno + 1, "missing offset"))?;
+        let o = parse_finite(o, lineno + 1, "offset")?;
+        let s = parts
             .next()
-            .ok_or_else(|| SvmError::parse(lineno + 1, "missing scale"))?
-            .parse()
-            .map_err(|_| SvmError::parse(lineno + 1, "bad scale"))?;
+            .ok_or_else(|| SvmError::parse(lineno + 1, "missing scale"))?;
+        let s = parse_finite(s, lineno + 1, "scale")?;
         offsets.push(o);
         scales.push(s);
     }
@@ -386,6 +379,42 @@ mod tests {
         assert!(scaler_from_string("nope\n").is_err());
         let text = "vmtherm-model scaler v1\nmethod=quantum\nbase=0\ndim=0\n";
         assert!(scaler_from_string(text).is_err());
+    }
+
+    /// Every float of an SVR model file must be finite; the error names
+    /// the offending line.
+    #[test]
+    fn svr_rejects_non_finite_values() {
+        let good = "vmtherm-model svr v1\nkernel=rbf 0.5\nbias=0.25\ndim=2\nnsv=1\n1.5 3.0 -2.0\n";
+        assert!(svr_from_string(good).is_ok());
+        for (bad, line) in [
+            (good.replace("bias=0.25", "bias=nan"), 3),
+            (good.replace("rbf 0.5", "rbf inf"), 2),
+            (good.replace("1.5 3.0", "-infinity 3.0"), 6),
+            (good.replace("-2.0", "NaN"), 6),
+        ] {
+            match svr_from_string(&bad) {
+                Err(SvmError::Parse { line: got, .. }) => assert_eq!(got, line, "{bad}"),
+                other => panic!("accepted or misreported {bad:?}: {other:?}"),
+            }
+        }
+    }
+
+    /// Likewise for a scaler file's base, offsets and scales.
+    #[test]
+    fn scaler_rejects_non_finite_values() {
+        let good = "vmtherm-model scaler v1\nmethod=minmax\nbase=0\ndim=2\n1 2\n3 4\n";
+        assert!(scaler_from_string(good).is_ok());
+        for (bad, line) in [
+            (good.replace("base=0", "base=inf"), 3),
+            (good.replace("1 2", "nan 2"), 5),
+            (good.replace("3 4", "3 -inf"), 6),
+        ] {
+            match scaler_from_string(&bad) {
+                Err(SvmError::Parse { line: got, .. }) => assert_eq!(got, line, "{bad}"),
+                other => panic!("accepted or misreported {bad:?}: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::data::Dataset;
 use crate::error::SvmError;
 use crate::kernel::Kernel;
 use crate::matrix::DenseMatrix;
-use crate::smo::{self, PointQ, SolveOptions};
+use crate::smo::{self, QMatrix, SolveOptions};
 use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters for one-class training.
@@ -21,7 +21,6 @@ pub struct OneClassParams {
     kernel: Kernel,
     tolerance: f64,
     max_iterations: usize,
-    cache_rows: usize,
 }
 
 impl OneClassParams {
@@ -33,7 +32,6 @@ impl OneClassParams {
             kernel: Kernel::default(),
             tolerance: 1e-3,
             max_iterations: 10_000_000,
-            cache_rows: 4096,
         }
     }
 
@@ -139,7 +137,6 @@ impl OneClassModel {
             return Err(SvmError::EmptyDataset);
         }
         let l = train.len();
-        let y = vec![1.0; l];
         let p = vec![0.0; l];
         let c = vec![1.0; l];
         // Feasible start: Σ α = ν l with α ∈ [0, 1] (LIBSVM's init).
@@ -153,11 +150,10 @@ impl OneClassModel {
             alpha[whole] = n - whole as f64;
         }
 
-        let mut q = PointQ::new(params.kernel, train.features(), &y, params.cache_rows);
+        let mut q = QMatrix::new(params.kernel, train.features(), vec![1.0; l]);
         let solution = smo::solve(
             &mut q,
             &p,
-            &y,
             &c,
             alpha,
             SolveOptions {

@@ -15,53 +15,59 @@
 //! Both ε-SVR ([`crate::svr`]) and C-SVC ([`crate::svc`]) reduce to this
 //! form; the regression case uses the standard expansion to `2l` variables.
 
-use crate::kernel::{Kernel, RowCache};
+use crate::kernel::Kernel;
 use crate::matrix::DenseMatrix;
 
 /// Numerical floor for the second derivative of the two-variable subproblem,
 /// as in LIBSVM (`TAU`).
 const TAU: f64 = 1e-12;
 
-/// Provides rows of the `Q` matrix (`Q_ij = y_i y_j K_ij`) and its diagonal.
+/// The dual matrix `Q_st = y_s y_t K(x_{s mod l}, x_{t mod l})` over `n`
+/// variables placed on `l` training points: variable `t` sits on point
+/// `t mod l` with sign `y_t = ±1`. C-SVC and one-class use `n = l`; the
+/// ε-SVR expansion uses `n = 2l`, α (sign +1) first, then α* (sign −1).
 ///
-/// Implementations cache rows because SMO revisits them heavily.
-pub(crate) trait QMatrix {
-    /// Number of variables in the dual problem.
-    fn len(&self) -> usize;
-    /// Full row `i` of `Q` (length [`QMatrix::len`]).
-    fn row(&mut self, i: usize) -> &[f64];
-    /// Diagonal entry `Q_ii`.
-    fn diag(&self, i: usize) -> f64;
-}
-
-/// `Q` matrix for problems whose variables map 1:1 onto training points
-/// (C-SVC), with an LRU row cache.
-pub(crate) struct PointQ<'a> {
+/// Only kernel rows are stored, one per point, each computed on its first
+/// request and kept for the whole solve (at most `l²` floats). The solver
+/// applies the signs as it reads a row; multiplying by ±1 is exact, so a
+/// `Q` entry formed that way is bitwise the signed kernel value.
+pub(crate) struct QMatrix<'a> {
     kernel: Kernel,
     points: &'a DenseMatrix,
-    y: &'a [f64],
+    /// The ±1 sign of each variable.
+    y: Vec<f64>,
+    /// `Q_tt = K(x_{t mod l}, x_{t mod l})` per variable.
     diag: Vec<f64>,
-    cache: RowCache,
+    /// Kernel row of each point; empty until first requested.
+    rows: Vec<Vec<f64>>,
     /// Precomputed `‖r‖²` per training row when the RBF row pass rides
     /// `eval_row_batch_prenorm`; `None` keeps the scalar-bitwise pass.
     row_norms: Option<Vec<f64>>,
+    hits: u64,
+    misses: u64,
 }
 
-impl<'a> PointQ<'a> {
-    pub(crate) fn new(
-        kernel: Kernel,
-        points: &'a DenseMatrix,
-        y: &'a [f64],
-        cache_rows: usize,
-    ) -> Self {
-        let diag = points.iter().map(|p| kernel.eval(p, p)).collect();
-        PointQ {
+impl<'a> QMatrix<'a> {
+    /// `Q` for the variables signed by `y`, whose length must be a
+    /// multiple of `points.rows()`.
+    pub(crate) fn new(kernel: Kernel, points: &'a DenseMatrix, y: Vec<f64>) -> Self {
+        let l = points.rows();
+        debug_assert!(
+            y.len().is_multiple_of(l),
+            "{} variables on {l} points",
+            y.len()
+        );
+        let point_diag: Vec<f64> = points.iter().map(|p| kernel.eval(p, p)).collect();
+        let diag = point_diag.iter().cycle().take(y.len()).copied().collect();
+        QMatrix {
             kernel,
             points,
             y,
             diag,
-            cache: RowCache::new(points.rows(), cache_rows),
+            rows: vec![Vec::new(); l],
             row_norms: None,
+            hits: 0,
+            misses: 0,
         }
     }
 
@@ -75,122 +81,72 @@ impl<'a> PointQ<'a> {
             .then(|| self.points.row_squared_norms());
         self
     }
-}
 
-impl QMatrix for PointQ<'_> {
-    fn len(&self) -> usize {
-        self.points.rows()
+    /// Number of variables in the dual problem.
+    pub(crate) fn len(&self) -> usize {
+        self.y.len()
     }
 
-    fn row(&mut self, i: usize) -> &[f64] {
-        let (kernel, points, y) = (self.kernel, self.points, self.y);
-        let norms = self.row_norms.as_deref();
-        self.cache.row(i, || {
-            // One kernel row in a single pass over the flat matrix, then
-            // the sign pattern on top: Q_ij = y_i y_j K_ij.
-            let mut row = vec![0.0; points.rows()];
-            match norms {
-                Some(norms) => {
-                    kernel.eval_row_batch_prenorm(points.row(i), points, norms, &mut row)
-                }
-                None => kernel.eval_row_batch(points.row(i), points, &mut row),
-            }
-            let yi = y[i];
-            for (q, yj) in row.iter_mut().zip(y) {
-                *q *= yi * *yj;
-            }
-            row
-        })
+    /// The ±1 sign of every variable.
+    pub(crate) fn signs(&self) -> &[f64] {
+        &self.y
     }
 
-    fn diag(&self, i: usize) -> f64 {
-        // y_i^2 = 1, so Q_ii = K_ii.
-        self.diag[i]
+    /// The diagonal `Q_tt` of every variable.
+    pub(crate) fn diag(&self) -> &[f64] {
+        &self.diag
     }
-}
 
-/// `Q` matrix for the ε-SVR expansion: variables `0..l` are `α` (sign +1)
-/// and `l..2l` are `α*` (sign −1), all over the same `l` points.
-pub(crate) struct RegressionQ<'a> {
-    kernel: Kernel,
-    points: &'a DenseMatrix,
-    l: usize,
-    diag: Vec<f64>,
-    /// Cache of *kernel* rows over the l points; Q rows are derived.
-    cache: RowCache,
-    scratch: Vec<f64>,
-    /// As in [`PointQ`]: `Some` routes RBF rows through the prenorm pass.
-    row_norms: Option<Vec<f64>>,
-}
+    /// The training point variable `t` sits on.
+    fn point(&self, t: usize) -> usize {
+        t % self.points.rows()
+    }
 
-impl<'a> RegressionQ<'a> {
-    pub(crate) fn new(kernel: Kernel, points: &'a DenseMatrix, cache_rows: usize) -> Self {
-        let l = points.rows();
-        let diag = points.iter().map(|p| kernel.eval(p, p)).collect();
-        RegressionQ {
-            kernel,
-            points,
-            l,
-            diag,
-            cache: RowCache::new(l, cache_rows),
-            scratch: vec![0.0; 2 * l],
-            row_norms: None,
+    /// Makes the kernel row of variable `t`'s point available to
+    /// [`QMatrix::row`], computing it on the point's first request.
+    pub(crate) fn load(&mut self, t: usize) {
+        let b = self.point(t);
+        if !self.rows[b].is_empty() {
+            self.hits += 1;
+            return;
         }
-    }
-
-    /// See [`PointQ::with_prenorm_rows`]; same tolerance contract.
-    pub(crate) fn with_prenorm_rows(mut self, enabled: bool) -> Self {
-        self.row_norms = (enabled && matches!(self.kernel, Kernel::Rbf { .. }))
-            .then(|| self.points.row_squared_norms());
-        self
-    }
-
-    fn sign(&self, i: usize) -> f64 {
-        if i < self.l {
-            1.0
-        } else {
-            -1.0
+        self.misses += 1;
+        let mut row = vec![0.0; self.points.rows()];
+        let x = self.points.row(b);
+        match &self.row_norms {
+            Some(norms) => self
+                .kernel
+                .eval_row_batch_prenorm(x, self.points, norms, &mut row),
+            None => self.kernel.eval_row_batch(x, self.points, &mut row),
         }
+        self.rows[b] = row;
     }
 
-    /// Kernel row-cache `(hits, misses)` accumulated by this matrix, for
-    /// the observability layer.
+    /// Kernel row `K(x_{t mod l}, ·)` over the `l` points, loaded by
+    /// [`QMatrix::load`]. `Q_ts = y_t y_s K_t[s mod l]`.
+    pub(crate) fn row(&self, t: usize) -> &[f64] {
+        let row = &self.rows[self.point(t)];
+        debug_assert!(!row.is_empty(), "kernel row of variable {t} not loaded");
+        row
+    }
+
+    /// Kernel-row `(hits, misses)` of [`QMatrix::load`] so far, for the
+    /// observability layer.
     pub(crate) fn cache_stats(&self) -> (u64, u64) {
-        (self.cache.hits(), self.cache.misses())
+        (self.hits, self.misses)
     }
 }
 
-impl QMatrix for RegressionQ<'_> {
-    fn len(&self) -> usize {
-        2 * self.l
-    }
-
-    fn row(&mut self, i: usize) -> &[f64] {
-        let base = i % self.l;
-        let si = self.sign(i);
-        let (kernel, points) = (self.kernel, self.points);
-        let norms = self.row_norms.as_deref();
-        let krow = self.cache.row(base, || {
-            let mut row = vec![0.0; points.rows()];
-            match norms {
-                Some(norms) => {
-                    kernel.eval_row_batch_prenorm(points.row(base), points, norms, &mut row);
-                }
-                None => kernel.eval_row_batch(points.row(base), points, &mut row),
-            }
-            row
-        });
-        // Q_ij = s_i s_j K(base_i, base_j).
-        for j in 0..self.l {
-            let k = krow[j];
-            self.scratch[j] = si * k;
-            self.scratch[self.l + j] = -si * k;
+/// `acc_t += y_t · (K_t · scale)` for every variable `t`, walking the
+/// length-`l` kernel row `krow` once per block of `l` variables. With
+/// `scale = y_i · a` this is bitwise `acc_t += a · Q_it`: the ±1 factors
+/// are exact.
+fn add_signed_row(acc: &mut [f64], y: &[f64], krow: &[f64], scale: f64) {
+    let l = krow.len();
+    for (acc_block, y_block) in acc.chunks_mut(l).zip(y.chunks(l)) {
+        for ((a, &yt), &k) in acc_block.iter_mut().zip(y_block).zip(krow) {
+            *a += yt * (k * scale);
         }
-        &self.scratch
-    }
-
-    fn diag(&self, i: usize) -> f64 {
-        self.diag[i % self.l]
     }
 }
 
@@ -234,19 +190,17 @@ pub(crate) struct Solution {
     pub converged: bool,
 }
 
-/// Solves the dual problem. `p` is the linear term, `y` the ±1 signs, `c`
-/// the per-variable upper bounds, `alpha` the (feasible) starting point.
+/// Solves the dual problem over `q` and its signs. `p` is the linear term,
+/// `c` the per-variable upper bounds, `alpha` the (feasible) starting point.
 pub(crate) fn solve(
-    q: &mut dyn QMatrix,
+    q: &mut QMatrix<'_>,
     p: &[f64],
-    y: &[f64],
     c: &[f64],
     mut alpha: Vec<f64>,
     options: SolveOptions,
 ) -> Solution {
     let n = q.len();
     debug_assert_eq!(p.len(), n);
-    debug_assert_eq!(y.len(), n);
     debug_assert_eq!(c.len(), n);
     debug_assert_eq!(alpha.len(), n);
 
@@ -257,13 +211,11 @@ pub(crate) fn solve(
     for i in 0..n {
         if alpha[i] != 0.0 {
             let ai = alpha[i];
-            let at_bound = ai >= c[i];
-            let row = q.row(i).to_vec();
-            for (t, qit) in row.iter().enumerate() {
-                grad[t] += ai * qit;
-                if at_bound {
-                    g_bar[t] += c[i] * qit;
-                }
+            q.load(i);
+            let (y, ki) = (q.signs(), q.row(i));
+            add_signed_row(&mut grad, y, ki, y[i] * ai);
+            if ai >= c[i] {
+                add_signed_row(&mut g_bar, y, ki, y[i] * c[i]);
             }
         }
     }
@@ -286,7 +238,6 @@ pub(crate) fn solve(
                     &mut grad,
                     &g_bar,
                     p,
-                    y,
                     c,
                     &alpha,
                     &mut active,
@@ -297,7 +248,7 @@ pub(crate) fn solve(
             }
         }
 
-        let pair = select_working_set(q, &grad, y, c, &alpha, options.tolerance, &active);
+        let pair = select_working_set(q, &grad, c, &alpha, options.tolerance, &active);
         let (i, j) = match pair {
             Some(pair) => pair,
             None => {
@@ -310,7 +261,7 @@ pub(crate) fn solve(
                 reconstruct_gradient(q, &mut grad, &g_bar, p, c, &alpha, &active);
                 active.iter_mut().for_each(|a| *a = true);
                 n_active = n;
-                match select_working_set(q, &grad, y, c, &alpha, options.tolerance, &active) {
+                match select_working_set(q, &grad, c, &alpha, options.tolerance, &active) {
                     Some(pair) => {
                         counter = 1; // shrink again next iteration
                         pair
@@ -324,8 +275,13 @@ pub(crate) fn solve(
         };
         iterations += 1;
 
-        let qi = q.row(i).to_vec();
-        let qj = q.row(j).to_vec();
+        q.load(i);
+        q.load(j);
+        let (y, ki, kj) = (q.signs(), q.row(i), q.row(j));
+        // Q_ij from row i: the prenorm pass does not promise K_ij and K_ji
+        // agree bitwise.
+        let qij = y[i] * y[j] * ki[q.point(j)];
+        let (di, dj) = (q.diag()[i], q.diag()[j]);
         let ci = c[i];
         let cj = c[j];
         let old_ai = alpha[i];
@@ -333,7 +289,7 @@ pub(crate) fn solve(
 
         if (y[i] - y[j]).abs() > 0.5 {
             // y_i != y_j
-            let mut quad = q.diag(i) + q.diag(j) + 2.0 * qi[j];
+            let mut quad = di + dj + 2.0 * qij;
             if quad <= 0.0 {
                 quad = TAU;
             }
@@ -361,7 +317,7 @@ pub(crate) fn solve(
             }
         } else {
             // y_i == y_j
-            let mut quad = q.diag(i) + q.diag(j) - 2.0 * qi[j];
+            let mut quad = di + dj - 2.0 * qij;
             if quad <= 0.0 {
                 quad = TAU;
             }
@@ -396,10 +352,23 @@ pub(crate) fn solve(
             converged = true;
             break;
         }
-        // Maintain G over the active set only (the point of shrinking)…
-        for t in 0..n {
-            if active[t] {
-                grad[t] += qi[t] * dai + qj[t] * daj;
+        // Maintain G over the active set only (the point of shrinking),
+        // G_t += Q_it Δa_i + Q_jt Δa_j with each product signed on its own:
+        // factoring y_t out of the sum could flip the sign of a zero.
+        let (yi_dai, yj_daj) = (y[i] * dai, y[j] * daj);
+        let l = ki.len();
+        let blocks = grad.chunks_mut(l).zip(active.chunks(l)).zip(y.chunks(l));
+        for ((g_block, on_block), y_block) in blocks {
+            for ((((g, &on), &yt), &kit), &kjt) in g_block
+                .iter_mut()
+                .zip(on_block)
+                .zip(y_block)
+                .zip(ki)
+                .zip(kj)
+            {
+                if on {
+                    *g += yt * (kit * yi_dai) + yt * (kjt * yj_daj);
+                }
             }
         }
         // …and G̅ over everything when a variable crosses its upper bound.
@@ -407,17 +376,13 @@ pub(crate) fn solve(
         let is_ub_i = alpha[i] >= ci;
         if was_ub_i != is_ub_i {
             let sign = if is_ub_i { 1.0 } else { -1.0 };
-            for (t, qit) in qi.iter().enumerate() {
-                g_bar[t] += sign * ci * qit;
-            }
+            add_signed_row(&mut g_bar, y, ki, sign * ci * y[i]);
         }
         let was_ub_j = old_aj >= cj;
         let is_ub_j = alpha[j] >= cj;
         if was_ub_j != is_ub_j {
             let sign = if is_ub_j { 1.0 } else { -1.0 };
-            for (t, qjt) in qj.iter().enumerate() {
-                g_bar[t] += sign * cj * qjt;
-            }
+            add_signed_row(&mut g_bar, y, kj, sign * cj * y[j]);
         }
     }
 
@@ -427,7 +392,7 @@ pub(crate) fn solve(
         reconstruct_gradient(q, &mut grad, &g_bar, p, c, &alpha, &active);
     }
 
-    let rho = compute_rho(&grad, y, c, &alpha);
+    let rho = compute_rho(&grad, q.signs(), c, &alpha);
 
     // Dual objective: 0.5 aᵀQa + pᵀa = 0.5 Σ a_i (G_i + p_i).
     let objective = 0.5
@@ -493,11 +458,10 @@ fn be_shrunk(
 /// Periodic shrink pass (LIBSVM `do_shrinking`).
 #[allow(clippy::too_many_arguments)]
 fn do_shrinking(
-    q: &mut dyn QMatrix,
+    q: &mut QMatrix<'_>,
     grad: &mut [f64],
     g_bar: &[f64],
     p: &[f64],
-    y: &[f64],
     c: &[f64],
     alpha: &[f64],
     active: &mut [bool],
@@ -506,6 +470,7 @@ fn do_shrinking(
     tolerance: f64,
 ) {
     let n = grad.len();
+    let y = q.signs();
     // m(α) and M(α) over the active set.
     let mut gmax1 = f64::NEG_INFINITY;
     let mut gmax2 = f64::NEG_INFINITY;
@@ -539,6 +504,7 @@ fn do_shrinking(
         *n_active = n;
     }
 
+    let y = q.signs();
     for t in 0..n {
         if active[t] && be_shrunk(t, gmax1, gmax2, grad, y, c, alpha) {
             active[t] = false;
@@ -551,7 +517,7 @@ fn do_shrinking(
 /// (LIBSVM `reconstruct_gradient`). Free variables are never shrunk, so
 /// their G entries are always current.
 fn reconstruct_gradient(
-    q: &mut dyn QMatrix,
+    q: &mut QMatrix<'_>,
     grad: &mut [f64],
     g_bar: &[f64],
     p: &[f64],
@@ -560,17 +526,20 @@ fn reconstruct_gradient(
     active: &[bool],
 ) {
     let n = grad.len();
-    let free: Vec<usize> = (0..n)
+    // (point, y_j a_j) of each free variable j, in variable order.
+    let free: Vec<(usize, f64)> = (0..n)
         .filter(|&j| alpha[j] > 0.0 && alpha[j] < c[j])
+        .map(|j| (q.point(j), q.signs()[j] * alpha[j]))
         .collect();
     for t in 0..n {
         if active[t] {
             continue;
         }
-        let row = q.row(t).to_vec();
+        q.load(t);
+        let (yt, kt) = (q.signs()[t], q.row(t));
         let mut g = p[t] + g_bar[t];
-        for &j in &free {
-            g += alpha[j] * row[j];
+        for &(b, yj_aj) in &free {
+            g += yt * (kt[b] * yj_aj);
         }
         grad[t] = g;
     }
@@ -582,15 +551,15 @@ fn reconstruct_gradient(
 /// Returns `None` when the maximal KKT violation over the active set is
 /// below `tolerance`.
 fn select_working_set(
-    q: &mut dyn QMatrix,
+    q: &mut QMatrix<'_>,
     grad: &[f64],
-    y: &[f64],
     c: &[f64],
     alpha: &[f64],
     tolerance: f64,
     active: &[bool],
 ) -> Option<(usize, usize)> {
     let n = grad.len();
+    let y = q.signs();
     // i = argmax over I_up of -y_t G_t
     let mut gmax = f64::NEG_INFINITY;
     let mut i_best: Option<usize> = None;
@@ -612,17 +581,18 @@ fn select_working_set(
         }
     }
     let i = i_best?;
-    let qi = q.row(i).to_vec();
-    let di = q.diag(i);
+    q.load(i);
+    let (y, ki, diag) = (q.signs(), q.row(i), q.diag());
+    let di = diag[i];
 
     let mut gmax2 = f64::NEG_INFINITY;
     let mut obj_min = f64::INFINITY;
     let mut j_best: Option<usize> = None;
-    for t in 0..n {
+    for (t, ((&yt, &kit), &dt)) in y.iter().zip(ki.iter().cycle()).zip(diag).enumerate() {
         if !active[t] {
             continue;
         }
-        let in_low = if y[t] > 0.0 {
+        let in_low = if yt > 0.0 {
             alpha[t] > 0.0
         } else {
             alpha[t] < c[t]
@@ -632,14 +602,14 @@ fn select_working_set(
         }
         // Stopping criterion tracks max over I_low of y_t G_t, so that
         // gmax + gmax2 = m(α) − M(α), the maximal KKT violation.
-        let ygt = y[t] * grad[t];
+        let ygt = yt * grad[t];
         if ygt > gmax2 {
             gmax2 = ygt;
         }
         let grad_diff = gmax + ygt;
         if grad_diff > 0.0 {
             // quad = K_ii + K_tt − 2 K_it = Q_ii + Q_tt − 2 y_i y_t Q_it.
-            let mut quad = di + q.diag(t) - 2.0 * y[i] * y[t] * qi[t];
+            let mut quad = di + dt - 2.0 * kit;
             if quad <= 0.0 {
                 quad = TAU;
             }
@@ -702,6 +672,10 @@ fn compute_rho(grad: &[f64], y: &[f64], c: &[f64], alpha: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::gram_matrix;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
 
     /// Hand-solvable 2-point classification problem: points -1 and +1 on a
     /// line, labels -1 and +1, linear kernel. The dual optimum is
@@ -711,10 +685,10 @@ mod tests {
     fn two_point_svc_dual() {
         let points = DenseMatrix::from_nested(vec![vec![-1.0], vec![1.0]]).unwrap();
         let y = vec![-1.0, 1.0];
-        let mut q = PointQ::new(Kernel::Linear, &points, &y, 16);
+        let mut q = QMatrix::new(Kernel::Linear, &points, y);
         let p = vec![-1.0, -1.0];
         let c = vec![10.0, 10.0];
-        let sol = solve(&mut q, &p, &y, &c, vec![0.0, 0.0], SolveOptions::default());
+        let sol = solve(&mut q, &p, &c, vec![0.0, 0.0], SolveOptions::default());
         assert!(sol.converged);
         assert!((sol.alpha[0] - 0.5).abs() < 1e-6, "alpha = {:?}", sol.alpha);
         assert!((sol.alpha[1] - 0.5).abs() < 1e-6);
@@ -733,10 +707,10 @@ mod tests {
         let y: Vec<f64> = (0..12)
             .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
             .collect();
-        let mut q = PointQ::new(Kernel::rbf(0.5), &points, &y, 16);
+        let mut q = QMatrix::new(Kernel::rbf(0.5), &points, y.clone());
         let p = vec![-1.0; 12];
         let c = vec![1.0; 12];
-        let sol = solve(&mut q, &p, &y, &c, vec![0.0; 12], SolveOptions::default());
+        let sol = solve(&mut q, &p, &c, vec![0.0; 12], SolveOptions::default());
         let balance: f64 = sol.alpha.iter().zip(&y).map(|(a, yi)| a * yi).sum();
         assert!(balance.abs() < 1e-9, "balance = {balance}");
         for (t, a) in sol.alpha.iter().enumerate() {
@@ -757,13 +731,12 @@ mod tests {
         let y: Vec<f64> = (0..40)
             .map(|i| if i % 3 == 0 { 1.0 } else { -1.0 })
             .collect();
-        let mut q = PointQ::new(Kernel::rbf(5.0), &points, &y, 8);
+        let mut q = QMatrix::new(Kernel::rbf(5.0), &points, y);
         let p = vec![-1.0; 40];
         let c = vec![100.0; 40];
         let sol = solve(
             &mut q,
             &p,
-            &y,
             &c,
             vec![0.0; 40],
             SolveOptions {
@@ -790,11 +763,10 @@ mod tests {
         let p = vec![-1.0; 20];
         let c = vec![1.0; 20];
 
-        let mut q1 = PointQ::new(Kernel::rbf(1.0), &points, &y, 32);
+        let mut q1 = QMatrix::new(Kernel::rbf(1.0), &points, y.clone());
         let partial = solve(
             &mut q1,
             &p,
-            &y,
             &c,
             vec![0.0; 20],
             SolveOptions {
@@ -803,15 +775,18 @@ mod tests {
                 shrinking: true,
             },
         );
-        let mut q2 = PointQ::new(Kernel::rbf(1.0), &points, &y, 32);
-        let full = solve(&mut q2, &p, &y, &c, vec![0.0; 20], SolveOptions::default());
+        let mut q2 = QMatrix::new(Kernel::rbf(1.0), &points, y);
+        let full = solve(&mut q2, &p, &c, vec![0.0; 20], SolveOptions::default());
         assert!(full.objective <= partial.objective + 1e-9);
     }
 
-    /// The prenorm RBF row pass honours its ≤1e-12 tolerance contract on
-    /// both Q matrices, and is a bitwise no-op for non-RBF kernels.
+    /// On both layouts (n = l with mixed signs, and the n = 2l ε-SVR
+    /// expansion) every signed entry `y_s y_t K` matches the Gram matrix:
+    /// bitwise on the exact path, within the prenorm contract (≤1e-12
+    /// relative for RBF, bitwise otherwise) on the prenorm path. Each
+    /// point's row is computed once however many variables share it.
     #[test]
-    fn prenorm_rows_honour_the_tolerance_contract() {
+    fn q_matrix_matches_the_signed_gram_matrix() {
         let points = DenseMatrix::from_nested(
             (0..13)
                 .map(|i| {
@@ -822,52 +797,214 @@ mod tests {
                 .collect(),
         )
         .unwrap();
-        let y: Vec<f64> = (0..13)
-            .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
+        let l = points.rows();
+        let mixed: Vec<f64> = (0..l)
+            .map(|i| if i % 3 == 0 { -1.0 } else { 1.0 })
             .collect();
+        let expanded: Vec<f64> = [vec![1.0; l], vec![-1.0; l]].concat();
         for kernel in [Kernel::rbf(0.6), Kernel::Linear] {
-            let mut exact = PointQ::new(kernel, &points, &y, 32);
-            let mut fast = PointQ::new(kernel, &points, &y, 32).with_prenorm_rows(true);
-            for i in 0..points.rows() {
-                let a = exact.row(i).to_vec();
-                for (av, bv) in a.iter().zip(fast.row(i)) {
-                    match kernel {
-                        Kernel::Rbf { .. } => assert!(
-                            (av - bv).abs() <= 1e-12 * av.abs().max(1.0),
-                            "PointQ prenorm row drifted: {av} vs {bv}"
-                        ),
-                        _ => assert_eq!(av.to_bits(), bv.to_bits()),
+            let gram = gram_matrix(kernel, &points);
+            for y in [&mixed, &expanded] {
+                let n = y.len();
+                let signed = |s: usize, t: usize, k: f64| y[s] * y[t] * k;
+                let mut exact = QMatrix::new(kernel, &points, y.clone());
+                let mut fast = QMatrix::new(kernel, &points, y.clone()).with_prenorm_rows(true);
+                assert_eq!(exact.len(), n);
+                for s in 0..n {
+                    exact.load(s);
+                    fast.load(s);
+                    assert_eq!(exact.diag()[s], gram.row(s % l)[s % l]);
+                    for t in 0..n {
+                        let want = signed(s, t, gram.row(s % l)[t % l]);
+                        let a = signed(s, t, exact.row(s)[t % l]);
+                        let b = signed(s, t, fast.row(s)[t % l]);
+                        assert_eq!(a.to_bits(), want.to_bits(), "exact Q[{s}][{t}]");
+                        match kernel {
+                            Kernel::Rbf { .. } => assert!(
+                                (b - want).abs() <= 1e-12 * want.abs().max(1.0),
+                                "prenorm Q[{s}][{t}] drifted: {b} vs {want}"
+                            ),
+                            _ => assert_eq!(b.to_bits(), want.to_bits(), "prenorm Q[{s}][{t}]"),
+                        }
                     }
                 }
+                // Every variable was loaded once: one miss per point, the
+                // rest (n − l of them) hits.
+                assert_eq!(exact.cache_stats(), ((n - l) as u64, l as u64));
             }
-            let mut exact = RegressionQ::new(kernel, &points, 32);
-            let mut fast = RegressionQ::new(kernel, &points, 32).with_prenorm_rows(true);
-            for i in 0..2 * points.rows() {
-                let a = exact.row(i).to_vec();
-                for (av, bv) in a.iter().zip(fast.row(i)) {
-                    match kernel {
-                        Kernel::Rbf { .. } => assert!(
-                            (av - bv).abs() <= 1e-12 * av.abs().max(1.0),
-                            "RegressionQ prenorm row drifted: {av} vs {bv}"
-                        ),
-                        _ => assert_eq!(av.to_bits(), bv.to_bits()),
-                    }
-                }
+        }
+        // Touching three variables on two distinct points costs two misses.
+        let mut q = QMatrix::new(Kernel::Linear, &points, expanded);
+        for t in [2, l + 2, 5] {
+            q.load(t);
+        }
+        assert_eq!(q.cache_stats(), (1, 2));
+    }
+
+    /// The three problem layouts the solver serves.
+    #[derive(Debug, Clone, Copy)]
+    enum Layout {
+        Svr,
+        Svc,
+        OneClass,
+    }
+
+    /// Signs, linear term, bounds and feasible start of `layout`'s dual
+    /// over `l` points with per-point `targets` (regression targets, or
+    /// class labels by their sign), built as `svr`/`svc`/`oneclass` do.
+    fn dual(layout: Layout, targets: &[f64], c: f64) -> [Vec<f64>; 4] {
+        let l = targets.len();
+        match layout {
+            Layout::Svr => {
+                let eps = 0.1;
+                let p = targets
+                    .iter()
+                    .map(|t| eps - t)
+                    .chain(targets.iter().map(|t| eps + t))
+                    .collect();
+                let y = [vec![1.0; l], vec![-1.0; l]].concat();
+                [y, p, vec![c; 2 * l], vec![0.0; 2 * l]]
+            }
+            Layout::Svc => {
+                let y = targets
+                    .iter()
+                    .map(|t| if *t > 0.0 { 1.0 } else { -1.0 })
+                    .collect();
+                [y, vec![-1.0; l], vec![c; l], vec![0.0; l]]
+            }
+            Layout::OneClass => {
+                let budget = 0.5 * l as f64;
+                let alpha = (0..l)
+                    .map(|t| (budget - t as f64).clamp(0.0, 1.0))
+                    .collect();
+                [vec![1.0; l], vec![0.0; l], vec![1.0; l], alpha]
             }
         }
     }
 
-    /// RegressionQ implements the sign-expanded matrix correctly:
-    /// Q[i][j] = s_i s_j K(i%l, j%l).
+    /// Checks a finished solve against the KKT conditions with a gradient
+    /// `Qα + p` rebuilt from `gram_matrix`, not the solver's running one,
+    /// and returns the dual objective computed from it.
+    fn check_kkt(
+        case: &str,
+        kernel: Kernel,
+        points: &DenseMatrix,
+        [y, p, c, alpha0]: &[Vec<f64>; 4],
+        sol: &Solution,
+        tolerance: f64,
+    ) -> f64 {
+        let (n, l) = (y.len(), points.rows());
+        let gram = gram_matrix(kernel, points);
+        assert!(sol.converged, "{case}: did not converge");
+        for (t, (a, ct)) in sol.alpha.iter().zip(c).enumerate() {
+            assert!(
+                (-1e-12..=ct + 1e-12).contains(a),
+                "{case}: alpha[{t}] = {a} outside [0, {ct}]"
+            );
+        }
+        let balance = |alpha: &[f64]| alpha.iter().zip(y).map(|(a, yt)| a * yt).sum::<f64>();
+        let drift = balance(&sol.alpha) - balance(alpha0);
+        assert!(drift.abs() <= 1e-9, "{case}: yᵀα drifted by {drift}");
+
+        let grad: Vec<f64> = (0..n)
+            .map(|t| {
+                let krow = gram.row(t % l);
+                p[t] + (0..n)
+                    .map(|s| y[t] * y[s] * krow[s % l] * sol.alpha[s])
+                    .sum::<f64>()
+            })
+            .collect();
+        // m(α) over I_up and M(α) over I_low of −y_t G_t.
+        let (mut m_up, mut m_low) = (f64::NEG_INFINITY, f64::INFINITY);
+        for t in 0..n {
+            let v = -y[t] * grad[t];
+            let (below_c, above_0) = (sol.alpha[t] < c[t], sol.alpha[t] > 0.0);
+            let (up, low) = if y[t] > 0.0 {
+                (below_c, above_0)
+            } else {
+                (above_0, below_c)
+            };
+            if up {
+                m_up = m_up.max(v);
+            }
+            if low {
+                m_low = m_low.min(v);
+            }
+        }
+        let violation = m_up - m_low;
+        assert!(
+            violation <= tolerance + 1e-9,
+            "{case}: KKT violation {violation} above tolerance {tolerance}"
+        );
+        0.5 * sol
+            .alpha
+            .iter()
+            .zip(grad.iter().zip(p))
+            .map(|(a, (g, pt))| a * (g + pt))
+            .sum::<f64>()
+    }
+
+    /// Solver oracle: on small random problems of every layout, including
+    /// duplicate rows and a constant column, the solve converges to a
+    /// box-feasible, balance-preserving point that meets the KKT tolerance
+    /// under an independently rebuilt gradient, and its dual objective
+    /// does not depend on the order of the rows beyond what the tolerance
+    /// allows. A point within KKT violation τ is at most τ·ΣC above the
+    /// optimum, so two such points differ by at most that.
     #[test]
-    fn regression_q_signs() {
-        let points = DenseMatrix::from_nested(vec![vec![0.0], vec![1.0]]).unwrap();
-        let mut q = RegressionQ::new(Kernel::Linear, &points, 8);
-        assert_eq!(q.len(), 4);
-        let row1 = q.row(1).to_vec(); // alpha row for point 1, sign +1
-        assert_eq!(row1, vec![0.0, 1.0, -0.0, -1.0]);
-        let row3 = q.row(3).to_vec(); // alpha* row for point 1, sign -1
-        assert_eq!(row3, vec![-0.0, -1.0, 0.0, 1.0]);
-        assert_eq!(q.diag(3), 1.0);
+    fn solver_oracle_holds_on_random_problems() {
+        let options = SolveOptions::default();
+        for seed in 0..24u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let layout = [Layout::Svr, Layout::Svc, Layout::OneClass][seed as usize % 3];
+            let (l, d) = (rng.gen_range(4..=18usize), rng.gen_range(1..=4usize));
+            let mut rows: Vec<Vec<f64>> = (0..l)
+                .map(|_| (0..d).map(|_| rng.gen_range(-2.0..2.0)).collect())
+                .collect();
+            // A duplicate row and a constant column.
+            rows[l - 1] = rows[0].clone();
+            for row in &mut rows {
+                row[0] = 0.75;
+            }
+            let targets: Vec<f64> = (0..l).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let kernel = if seed % 4 == 3 {
+                Kernel::Linear
+            } else {
+                Kernel::rbf(rng.gen_range(0.1..2.0))
+            };
+            let c = rng.gen_range(0.1..10.0);
+            let prenorm = seed % 2 == 0;
+
+            let mut order: Vec<usize> = (0..l).collect();
+            let mut objectives = Vec::new();
+            for pass in 0..2 {
+                if pass == 1 {
+                    order.shuffle(&mut rng);
+                }
+                let points =
+                    DenseMatrix::from_nested(order.iter().map(|&i| rows[i].clone()).collect())
+                        .unwrap();
+                let t: Vec<f64> = order.iter().map(|&i| targets[i]).collect();
+                let problem = dual(layout, &t, c);
+                let [y, p, bounds, alpha0] = &problem;
+                let mut q = QMatrix::new(kernel, &points, y.clone()).with_prenorm_rows(prenorm);
+                let sol = solve(&mut q, p, bounds, alpha0.clone(), options);
+                let case = format!("seed {seed} {layout:?} pass {pass}");
+                objectives.push(check_kkt(
+                    &case,
+                    kernel,
+                    &points,
+                    &problem,
+                    &sol,
+                    options.tolerance,
+                ));
+            }
+            let scale = options.tolerance * dual(layout, &targets, c)[2].iter().sum::<f64>();
+            let gap = (objectives[0] - objectives[1]).abs();
+            assert!(
+                gap <= scale + 1e-9,
+                "seed {seed} {layout:?}: permuting rows moved the dual objective by {gap} > {scale}"
+            );
+        }
     }
 }

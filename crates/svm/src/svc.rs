@@ -8,7 +8,7 @@ use crate::data::Dataset;
 use crate::error::SvmError;
 use crate::kernel::Kernel;
 use crate::matrix::DenseMatrix;
-use crate::smo::{self, PointQ, SolveOptions};
+use crate::smo::{self, QMatrix, SolveOptions};
 use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters for C-SVC training. Targets must be `+1.0` or `-1.0`.
@@ -18,7 +18,6 @@ pub struct SvcParams {
     kernel: Kernel,
     tolerance: f64,
     max_iterations: usize,
-    cache_rows: usize,
     #[serde(default = "default_prenorm_rows")]
     prenorm_rows: bool,
 }
@@ -41,7 +40,6 @@ impl SvcParams {
             kernel: Kernel::default(),
             tolerance: 1e-3,
             max_iterations: 10_000_000,
-            cache_rows: 4096,
             prenorm_rows: true,
         }
     }
@@ -167,15 +165,14 @@ impl SvcModel {
             }
         }
         let l = train.len();
-        let y = train.targets().to_vec();
+        let y = train.targets();
         let p = vec![-1.0; l];
         let c = vec![params.c; l];
-        let mut q = PointQ::new(params.kernel, train.features(), &y, params.cache_rows)
+        let mut q = QMatrix::new(params.kernel, train.features(), y.to_vec())
             .with_prenorm_rows(params.prenorm_rows);
         let solution = smo::solve(
             &mut q,
             &p,
-            &y,
             &c,
             vec![0.0; l],
             SolveOptions {

@@ -6,7 +6,7 @@ use crate::data::Dataset;
 use crate::error::SvmError;
 use crate::kernel::Kernel;
 use crate::matrix::DenseMatrix;
-use crate::smo::{self, QMatrix, RegressionQ, SolveOptions};
+use crate::smo::{self, QMatrix, SolveOptions};
 use serde::{Deserialize, Serialize};
 use vmtherm_obs::{self as obs, names, ObsEvent};
 
@@ -39,7 +39,6 @@ pub struct SvrParams {
     kernel: Kernel,
     tolerance: f64,
     max_iterations: usize,
-    cache_rows: usize,
     shrinking: bool,
     #[serde(default = "default_prenorm_rows")]
     prenorm_rows: bool,
@@ -65,7 +64,6 @@ impl SvrParams {
             kernel: Kernel::default(),
             tolerance: 1e-3,
             max_iterations: 10_000_000,
-            cache_rows: 4096,
             shrinking: true,
             prenorm_rows: true,
         }
@@ -103,13 +101,6 @@ impl SvrParams {
     #[must_use]
     pub fn with_max_iterations(mut self, max_iterations: usize) -> Self {
         self.max_iterations = max_iterations;
-        self
-    }
-
-    /// Sets the kernel row-cache capacity (rows).
-    #[must_use]
-    pub fn with_cache_rows(mut self, cache_rows: usize) -> Self {
-        self.cache_rows = cache_rows;
         self
     }
 
@@ -258,14 +249,13 @@ impl SvrModel {
         signs.extend(std::iter::repeat_n(-1.0, l));
         let c = vec![params.c; 2 * l];
 
-        let mut q = RegressionQ::new(params.kernel, points, params.cache_rows)
-            .with_prenorm_rows(params.prenorm_rows);
+        let mut q =
+            QMatrix::new(params.kernel, points, signs).with_prenorm_rows(params.prenorm_rows);
         let span = obs::span(names::SPAN_SMO_SOLVE);
         let timer = OBS_SOLVE_NS.start_timer();
         let solution = smo::solve(
             &mut q,
             &p,
-            &signs,
             &c,
             vec![0.0; 2 * l],
             SolveOptions {
@@ -288,7 +278,6 @@ impl SvrModel {
             cache_hits,
             cache_misses,
         });
-        debug_assert_eq!(q.len(), 2 * l);
 
         // β_i = α_i − α*_i; keep only support vectors (β != 0).
         let mut support_vectors = DenseMatrix::with_cols(train.dim());
