@@ -15,7 +15,7 @@ use crate::stable::StablePredictor;
 use std::collections::VecDeque;
 use vmtherm_obs::{self as obs, names, ObsEvent};
 use vmtherm_sim::experiment::ConfigSnapshot;
-use vmtherm_sim::{ServerId, SimEvent, SimTime, Simulation, TelemetryError, TimeSeries};
+use vmtherm_sim::{ServerId, SimEvent, SimTime, Simulation};
 use vmtherm_units::{Celsius, Seconds};
 
 static OBS_REANCHORS: obs::LazyCounter = obs::LazyCounter::new(names::METRIC_REANCHOR_TOTAL);
@@ -254,9 +254,10 @@ pub struct FleetMonitor {
     policy: DegradationPolicy,
     /// Per-server degradation counters.
     degradation: Vec<DegradationStats>,
-    /// Per-server accepted samples (monotone by construction: out-of-order
-    /// arrivals are absorbed before or during the push).
-    ingested: Vec<TimeSeries>,
+    /// Per-server last accepted sample `(t, v)`, `t` on the millisecond
+    /// clock; `None` before any. Accepted times never decrease:
+    /// out-of-order arrivals are absorbed before they replace it.
+    last_ingested: Vec<Option<(f64, f64)>>,
     /// Per-server read position into the simulation's delivery stream.
     delivered_cursor: Vec<usize>,
     /// Per-server timestamp (s) of the newest clean-path sample already
@@ -318,7 +319,7 @@ impl FleetMonitor {
             fleet_gauges: None,
             policy: DegradationPolicy::default(),
             degradation: vec![DegradationStats::default(); servers],
-            ingested: vec![TimeSeries::new(); servers],
+            last_ingested: vec![None; servers],
             delivered_cursor: vec![0; servers],
             last_clean_t: vec![f64::NAN; servers],
             stuck_run: vec![(0, 0); servers],
@@ -607,20 +608,34 @@ impl FleetMonitor {
         }
     }
 
-    /// Ingests one server's faulted delivery stream: absorbs out-of-order
-    /// samples, quarantines spikes and suspected-stuck readings before
-    /// they reach the γ calibrator, tracks staleness/holdover, forces one
-    /// re-anchor on stream recovery, expires forecasts that matured inside
-    /// a gap and keeps forecasting from the anchored curve throughout.
+    /// Consumes the part of one server's faulted delivery stream that
+    /// arrived since the last observation (see [`Self::ingest_delivered`]).
     fn observe_faulted(&mut self, sim: &Simulation, idx: usize, now: f64, ambient_c: Celsius) {
-        let sid = ServerId::new(idx);
-        let policy = self.policy;
-        let Some(delivered) = sim.delivered(sid) else {
+        let Some(delivered) = sim.delivered(ServerId::new(idx)) else {
             return;
         };
         let start = self.delivered_cursor[idx];
         self.delivered_cursor[idx] = delivered.len();
-        for &(t, v) in &delivered[start..] {
+        self.ingest_delivered(sim, idx, &delivered[start..], now, ambient_c);
+    }
+
+    /// Ingests newly delivered `(t, v)` samples of one server: absorbs
+    /// out-of-order samples, quarantines spikes and suspected-stuck
+    /// readings before they reach the γ calibrator, tracks
+    /// staleness/holdover, forces one re-anchor on stream recovery,
+    /// expires forecasts that matured inside a gap and keeps forecasting
+    /// from the anchored curve throughout.
+    fn ingest_delivered(
+        &mut self,
+        sim: &Simulation,
+        idx: usize,
+        samples: &[(f64, f64)],
+        now: f64,
+        ambient_c: Celsius,
+    ) {
+        let sid = ServerId::new(idx);
+        let policy = self.policy;
+        for &(t, v) in samples {
             let prev = self.last_delivery[idx];
             let recovered = prev.is_finite() && t - prev >= policy.staleness_secs;
             self.last_delivery[idx] = if prev.is_finite() { prev.max(t) } else { t };
@@ -637,7 +652,7 @@ impl FleetMonitor {
 
             // Out-of-order arrivals carry stale information: absorb them
             // into holdover rather than rewinding the calibrator.
-            if let Some((last_t, _)) = self.ingested[idx].last() {
+            if let Some((last_t, _)) = self.last_ingested[idx] {
                 if t < last_t {
                     self.degradation[idx].ooo_absorbed += 1;
                     OBS_OOO.inc();
@@ -669,17 +684,16 @@ impl FleetMonitor {
                 continue;
             }
 
-            // Accepted: record it and feed the calibrator.
-            let recorded = self.ingested[idx].push(
-                SimTime::from_millis((t * 1000.0).round().max(0.0) as u64),
-                v,
-            );
-            if let Err(TelemetryError::NonMonotonicTime { .. }) = recorded {
+            // Accepted: record it on the millisecond clock and feed the
+            // calibrator.
+            let t_ms = SimTime::from_millis((t * 1000.0).round().max(0.0) as u64).as_secs_f64();
+            if matches!(self.last_ingested[idx], Some((last_t, _)) if t_ms < last_t) {
                 // Sub-millisecond inversions the ordering check missed.
                 self.degradation[idx].ooo_absorbed += 1;
                 OBS_OOO.inc();
                 continue;
             }
+            self.last_ingested[idx] = Some((t_ms, v));
             self.predictors[idx].observe(Seconds::new(t), Celsius::new(v));
             OBS_SAMPLES.inc();
             obs::emit_with(|| ObsEvent::Sample {
@@ -704,7 +718,7 @@ impl FleetMonitor {
         // Score matured forecasts against the newest accepted sample;
         // targets that matured inside a telemetry gap expire unscored
         // rather than being graded against stale ground truth.
-        let reference = self.ingested[idx].last();
+        let reference = self.last_ingested[idx];
         while let Some(&(target, forecast)) = self.pending[idx].front() {
             if target > now {
                 break;
@@ -760,7 +774,7 @@ impl FleetMonitor {
             gauges
                 .holdover
                 .set(if self.holdover[idx] { 1.0 } else { 0.0 });
-            if let Some((_, v)) = self.ingested[idx].last() {
+            if let Some((_, v)) = self.last_ingested[idx] {
                 gauges.headroom.set(self.temp_limit_c - v);
             }
         }
@@ -875,16 +889,14 @@ impl FleetMonitor {
                     ));
                 }
             }
-            if let Some(ingested) = self.ingested.get(i) {
-                if let Some((t, v)) = ingested.iter().last() {
-                    if !t.is_finite() || t > now {
-                        violations.push(format!(
-                            "server {i}: ingested sample at t={t} beyond clock {now}"
-                        ));
-                    }
-                    if !v.is_finite() {
-                        violations.push(format!("server {i}: non-finite ingested value at t={t}"));
-                    }
+            if let Some(&Some((t, v))) = self.last_ingested.get(i) {
+                if !t.is_finite() || t > now {
+                    violations.push(format!(
+                        "server {i}: ingested sample at t={t} beyond clock {now}"
+                    ));
+                }
+                if !v.is_finite() {
+                    violations.push(format!("server {i}: non-finite ingested value at t={t}"));
                 }
             }
             let anchor = self.last_anchor.get(i).copied().unwrap_or(0.0);
@@ -1296,5 +1308,65 @@ mod tests {
         assert!(!monitor.in_holdover(ghost));
         assert!(monitor.pred_err_sketch(ghost).is_none());
         assert!(monitor.fleet_mse().is_nan());
+    }
+
+    /// Feeds one server an exact delivery stream through the faulted
+    /// ingest: a plain out-of-order sample, a sub-millisecond inversion
+    /// whose predecessor rounded *up* to the next millisecond (absorbed:
+    /// it lands before the last accepted timestamp), and one whose
+    /// predecessor rounded *down* (accepted: it rounds onto the same
+    /// millisecond). The pinned counts, error sum and last accepted
+    /// samples are those of the per-server `TimeSeries` ingest that the
+    /// last-sample state replaced.
+    #[test]
+    fn faulted_ingest_rounds_to_milliseconds_and_absorbs_inversions() {
+        let _guard = obs_test_lock();
+        let last_sample = |m: &FleetMonitor| m.last_ingested[0].unwrap();
+        let bits = |(t, v): (f64, f64)| (t.to_bits(), v.to_bits());
+        let mut sim = fleet_sim();
+        let mut monitor =
+            FleetMonitor::new(stable_model(), DynamicConfig::new(), 3, Seconds::new(60.0)).unwrap();
+        let ambient = Celsius::new(24.0);
+        monitor.observe(&sim, ambient);
+        for _ in 0..120 {
+            sim.step();
+        }
+        let readings: Vec<(f64, f64)> = sim
+            .trace(ServerId::new(0))
+            .unwrap()
+            .sensor_c
+            .iter()
+            .collect();
+        for &(t, v) in &readings {
+            let (batch, kept) = match t as u32 {
+                // Rounds up to 40.001 s; 40.0004 s then precedes it.
+                40 => (vec![(40.0006, v), (40.0004, v + 0.5)], Some((40.001, v))),
+                // Rounds down to 60.000 s; 60.0002 s rounds onto it.
+                60 => (
+                    vec![(60.0004, v), (60.0002, v + 0.5)],
+                    Some((60.0, v + 0.5)),
+                ),
+                // A sample from half a minute ago.
+                80 => (vec![(t, v), (50.0, v - 0.5)], Some((80.0, v))),
+                _ => (vec![(t, v)], None),
+            };
+            monitor.ingest_delivered(&sim, 0, &batch, t, ambient);
+            if let Some(kept) = kept {
+                assert_eq!(bits(last_sample(&monitor)), bits(kept), "at t={t}");
+            }
+        }
+        assert_eq!(bits(last_sample(&monitor)), bits((119.0, 34.0)));
+        let degradation = monitor.degradation(ServerId::new(0));
+        assert_eq!(
+            degradation,
+            DegradationStats {
+                ooo_absorbed: 2,
+                ..DegradationStats::default()
+            }
+        );
+        let stats = monitor.stats(ServerId::new(0));
+        assert_eq!(stats.scored, 60);
+        assert_eq!(stats.sum_sq_err.to_bits(), 0x403e_90f0_13ee_b44e);
+        assert!(monitor.invariant_report(&sim).is_empty());
     }
 }

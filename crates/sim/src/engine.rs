@@ -1004,13 +1004,15 @@ fn step_server(
 ) {
     server.step(at, Celsius::new(local_ambient), Seconds::new(elapsed_secs));
     let reading = server.read_sensor();
-    let recorded = trace
-        .sensor_c
-        .push(at, reading)
-        .and(trace.die_c.push(at, server.die_temperature()))
-        .and(trace.utilization.push(at, server.last_utilization()))
-        .and(trace.power_w.push(at, server.last_power()))
-        .and(trace.ambient_c.push(at, local_ambient));
+    // The sensor series carries the trace's one clock; the value columns
+    // grow only with it, so they stay aligned with its timestamps.
+    let recorded = trace.sensor_c.push(at, reading);
+    if recorded.is_ok() {
+        trace.die_c.push(server.die_temperature());
+        trace.utilization.push(server.last_utilization());
+        trace.power_w.push(server.last_power());
+        trace.ambient_c.push(local_ambient);
+    }
     // The engine clock is monotone, so recording cannot go backwards.
     debug_assert!(recorded.is_ok(), "engine clock regressed: {recorded:?}");
     // The trace above is ground truth; the monitoring plane sees the
@@ -1253,10 +1255,7 @@ mod tests {
         assert_eq!(trace.sensor_c.len(), 30);
         assert_eq!(trace.utilization.len(), 30);
         // Temperature rose under load.
-        let (first, last) = (
-            trace.die_c.values()[0],
-            *trace.die_c.values().last().unwrap(),
-        );
+        let (first, last) = (trace.die_c[0], *trace.die_c.last().unwrap());
         assert!(last > first);
     }
 
@@ -1290,8 +1289,8 @@ mod tests {
         );
         sim.run_until(SimTime::from_secs(10));
         let trace = sim.trace(ServerId::new(0)).unwrap();
-        assert_eq!(*trace.ambient_c.values().last().unwrap(), 30.0);
-        assert_eq!(trace.ambient_c.values()[0], 25.0);
+        assert_eq!(*trace.ambient_c.last().unwrap(), 30.0);
+        assert_eq!(trace.ambient_c[0], 25.0);
     }
 
     #[test]
@@ -1309,7 +1308,7 @@ mod tests {
         );
         sim.run_until(SimTime::from_secs(5));
         let trace = sim.trace(ServerId::new(0)).unwrap();
-        assert_eq!(*trace.ambient_c.values().last().unwrap(), 31.0);
+        assert_eq!(*trace.ambient_c.last().unwrap(), 31.0);
     }
 
     #[test]
@@ -1360,8 +1359,8 @@ mod tests {
         dc.set_rack_offset(RackId::new(1), 2.0);
         let mut sim = Simulation::new(dc, AmbientModel::Fixed(25.0), 7);
         sim.run_until(SimTime::from_secs(10));
-        let a = sim.trace(cool).unwrap().ambient_c.values()[5];
-        let b = sim.trace(warm).unwrap().ambient_c.values()[5];
+        let a = sim.trace(cool).unwrap().ambient_c[5];
+        let b = sim.trace(warm).unwrap().ambient_c[5];
         assert_eq!(a, 25.0);
         assert_eq!(b, 27.0);
     }
@@ -1377,7 +1376,6 @@ mod tests {
             .trace(ServerId::new(1))
             .unwrap()
             .utilization
-            .values()
             .last()
             .copied()
             .unwrap();
@@ -1393,7 +1391,6 @@ mod tests {
             .trace(ServerId::new(1))
             .unwrap()
             .utilization
-            .values()
             .last()
             .copied()
             .unwrap();
@@ -1658,5 +1655,82 @@ mod tests {
             .fold(0.0_f64, f64::max);
         assert!(max_gap <= 4.0, "gap {max_gap} exceeds the 4 s cap");
         assert!(max_gap > 1.0, "never slept at all");
+    }
+
+    /// Every value column keeps exactly one entry per timestamp of the
+    /// sensor clock, under both clocks, through a fault plan, a
+    /// migration, a `SetAmbient` swap and the settle catch-ups of a
+    /// mid-run plan swap.
+    #[test]
+    fn trace_columns_stay_aligned_with_the_sensor_clock() {
+        use crate::fault::{DropoutFault, FaultPlan, JitterFault, SpikeFault};
+        for clock in [ClockMode::Fixed, ClockMode::Event] {
+            let dc =
+                Datacenter::homogeneous(&ServerSpec::standard("n"), 6, 4, Celsius::new(24.0), 5);
+            let mut sim = Simulation::new(dc, AmbientModel::Fixed(24.0), 9).with_clock(clock);
+            sim.set_fault_plan(
+                FaultPlan::new(3)
+                    .with_dropout(DropoutFault::scheduled(vec![(50.0, 80.0)]).unwrap())
+                    .with_jitter(JitterFault::random(0.2, Seconds::new(3.0)).unwrap()),
+            )
+            .unwrap();
+            let hot = sim.boot_vm_now(ServerId::new(0), spec(4, 8.0)).unwrap();
+            for s in 1..6 {
+                sim.boot_vm_now(
+                    ServerId::new(s),
+                    VmSpec::new("idle", 1, 2.0, TaskProfile::Idle),
+                )
+                .unwrap();
+            }
+            sim.schedule(
+                SimTime::from_secs(200),
+                Event::MigrateVm {
+                    vm: hot,
+                    dest: ServerId::new(3),
+                },
+            );
+            sim.schedule(
+                SimTime::from_secs(400),
+                Event::SetAmbient(AmbientModel::Fixed(27.0)),
+            );
+            sim.run_until(SimTime::from_secs(300));
+            // Swapping plans settles every sleeper first.
+            sim.set_fault_plan(FaultPlan::new(4).with_spike(
+                SpikeFault::random(0.05, Celsius::new(4.0), Celsius::new(9.0)).unwrap(),
+            ))
+            .unwrap();
+            sim.run_until(SimTime::from_secs(900));
+            for s in 0..6 {
+                let trace = sim.trace(ServerId::new(s)).unwrap();
+                let n = trace.sensor_c.len();
+                assert!(n > 0, "{clock:?}: server {s} recorded nothing");
+                assert_eq!(trace.times().len(), n);
+                for (name, column) in [
+                    ("die_c", &trace.die_c),
+                    ("utilization", &trace.utilization),
+                    ("power_w", &trace.power_w),
+                    ("ambient_c", &trace.ambient_c),
+                ] {
+                    assert_eq!(column.len(), n, "{clock:?}: server {s} {name}");
+                }
+                // The ambient swap lands on the aligned timestamps.
+                let (before, after): (Vec<_>, Vec<_>) = trace
+                    .times()
+                    .iter()
+                    .zip(&trace.ambient_c)
+                    .partition(|(t, _)| **t < 400.0);
+                let step = after.last().unwrap().1 - before.first().unwrap().1;
+                assert!(
+                    (step - 3.0).abs() < 1e-9,
+                    "{clock:?}: server {s} step {step}"
+                );
+            }
+            if clock == ClockMode::Event {
+                assert!(
+                    sim.step_stats().skip_factor() > 1.0,
+                    "event clock never slept"
+                );
+            }
+        }
     }
 }

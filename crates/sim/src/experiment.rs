@@ -178,15 +178,13 @@ impl ExperimentConfig {
 
         sim.run_until(SimTime::ZERO + self.duration);
 
-        let trace = sim.trace(sid).expect("trace").clone();
+        let trace = sim.trace(sid).expect("trace");
         let break_at = SimTime::ZERO + self.t_break;
         let psi_stable = trace
             .sensor_c
             .mean_after(break_at)
             .expect("samples after t_break");
-        let true_stable = trace
-            .die_c
-            .mean_after(break_at)
+        let true_stable = crate::telemetry::mean_after(trace.times(), &trace.die_c, break_at)
             .expect("samples after t_break");
 
         ExperimentOutcome {
@@ -194,14 +192,13 @@ impl ExperimentConfig {
             psi_stable,
             true_stable,
             initial_temp,
-            sensor_series: trace.sensor_c,
-            die_series: trace.die_c,
+            sensor_series: trace.sensor_c.clone(),
         }
     }
 }
 
-/// The result of one experiment: the Eq. (2) record plus full series for
-/// dynamic-prediction studies.
+/// The result of one experiment: the Eq. (2) record plus the sensor
+/// series for dynamic-prediction studies.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExperimentOutcome {
     /// The input side of the record.
@@ -214,8 +211,6 @@ pub struct ExperimentOutcome {
     pub initial_temp: f64,
     /// Sensor reading series over the whole run.
     pub sensor_series: TimeSeries,
-    /// True die temperature series over the whole run.
-    pub die_series: TimeSeries,
 }
 
 /// Randomised experiment cases in the paper's evaluation ranges:

@@ -20,7 +20,7 @@ use super::Scenario;
 use crate::engine::{ClockMode, Simulation};
 use crate::error::SimError;
 use crate::server::ServerId;
-use crate::telemetry::TimeSeries;
+use crate::telemetry::ServerTrace;
 
 /// Die-temperature sanity floor (°C) for the invariant oracle.
 const DIE_FLOOR: f64 = -10.0;
@@ -79,13 +79,26 @@ impl Fnv {
     fn write_f64(&mut self, value: f64) {
         self.write(value.to_bits());
     }
-    fn write_series(&mut self, series: &TimeSeries) {
-        self.write(series.len() as u64);
-        for (t, v) in series.iter() {
-            self.write_f64(t);
-            self.write_f64(v);
+    /// Folds one trace column as `(len, t₀, v₀, t₁, v₁, …)` over the
+    /// trace's shared clock `times`.
+    fn write_column(&mut self, times: &[f64], values: &[f64]) {
+        self.write(values.len() as u64);
+        for (t, v) in times.iter().zip(values) {
+            self.write_f64(*t);
+            self.write_f64(*v);
         }
     }
+}
+
+/// A trace's value columns by name, in fingerprint order.
+fn trace_columns(trace: &ServerTrace) -> [(&'static str, &[f64]); 5] {
+    [
+        ("sensor_c", trace.sensor_c.values()),
+        ("die_c", &trace.die_c),
+        ("utilization", &trace.utilization),
+        ("power_w", &trace.power_w),
+        ("ambient_c", &trace.ambient_c),
+    ]
 }
 
 /// Builds and runs a scenario to its horizon under one clock mode.
@@ -131,11 +144,9 @@ pub fn clean_fingerprint(sim: &Simulation) -> u64 {
     let dc = sim.datacenter();
     for i in 0..dc.len() {
         if let Ok(trace) = sim.trace(ServerId::new(i)) {
-            fnv.write_series(&trace.sensor_c);
-            fnv.write_series(&trace.die_c);
-            fnv.write_series(&trace.utilization);
-            fnv.write_series(&trace.power_w);
-            fnv.write_series(&trace.ambient_c);
+            for (_, values) in trace_columns(trace) {
+                fnv.write_column(trace.times(), values);
+            }
         }
     }
     fnv.write(sim.log().len() as u64);
@@ -211,42 +222,41 @@ fn check_invariants(sim: &Simulation, label: &str, failures: &mut Vec<OracleFail
             continue;
         };
         let horizon = sim.now().as_secs_f64();
-        let series: [(&str, &TimeSeries); 5] = [
-            ("sensor_c", &trace.sensor_c),
-            ("die_c", &trace.die_c),
-            ("utilization", &trace.utilization),
-            ("power_w", &trace.power_w),
-            ("ambient_c", &trace.ambient_c),
-        ];
-        for (name, ts) in series {
-            let mut prev = f64::NEG_INFINITY;
-            for (t, v) in ts.iter() {
-                if !t.is_finite() || t < prev {
-                    fail(format!(
-                        "server {i} {name} timestamps not monotone at t={t}"
-                    ));
-                    break;
-                }
-                if t > horizon {
-                    fail(format!(
-                        "server {i} {name} sample at t={t} beyond horizon {horizon}"
-                    ));
-                    break;
-                }
-                if !v.is_finite() {
-                    fail(format!("server {i} {name} non-finite value at t={t}"));
-                    break;
-                }
-                prev = t;
+        let times = trace.times();
+        let mut prev = f64::NEG_INFINITY;
+        for &t in times {
+            if !t.is_finite() || t < prev {
+                fail(format!("server {i} trace timestamps not monotone at t={t}"));
+                break;
             }
-        }
-        for (t, v) in trace.die_c.iter() {
-            if v.is_finite() && !(DIE_FLOOR..=DIE_CEILING).contains(&v) {
+            if t > horizon {
                 fail(format!(
-                    "server {i} die_c {v} at t={t} outside sanity bounds"
+                    "server {i} trace sample at t={t} beyond horizon {horizon}"
                 ));
                 break;
             }
+            prev = t;
+        }
+        for (name, values) in trace_columns(trace) {
+            if values.len() != times.len() {
+                fail(format!(
+                    "server {i} {name} has {} values for {} timestamps",
+                    values.len(),
+                    times.len()
+                ));
+            }
+            if let Some((t, v)) = times.iter().zip(values).find(|(_, v)| !v.is_finite()) {
+                fail(format!("server {i} {name} non-finite value {v} at t={t}"));
+            }
+        }
+        if let Some((t, v)) = times
+            .iter()
+            .zip(&trace.die_c)
+            .find(|(_, v)| v.is_finite() && !(DIE_FLOOR..=DIE_CEILING).contains(*v))
+        {
+            fail(format!(
+                "server {i} die_c {v} at t={t} outside sanity bounds"
+            ));
         }
     }
     let mut prev = crate::time::SimTime::ZERO;

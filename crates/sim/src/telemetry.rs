@@ -104,16 +104,7 @@ impl TimeSeries {
     /// samples qualify.
     #[must_use]
     pub fn mean_after(&self, from: SimTime) -> Option<f64> {
-        let from = from.as_secs_f64();
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for (t, v) in self.iter() {
-            if t >= from {
-                sum += v;
-                n += 1;
-            }
-        }
-        (n > 0).then(|| sum / n as f64)
+        mean_after(&self.times, &self.values, from)
     }
 
     /// The value at or immediately before `t` (step interpolation), or
@@ -171,19 +162,42 @@ impl FromIterator<(f64, f64)> for TimeSeries {
     }
 }
 
+/// Mean of the `values` whose aligned `times` are at or after `from`,
+/// summed in sample order; `None` if no samples qualify.
+pub(crate) fn mean_after(times: &[f64], values: &[f64], from: SimTime) -> Option<f64> {
+    let from = from.as_secs_f64();
+    let mut sum = 0.0;
+    let mut n = 0usize;
+    for (t, v) in times.iter().zip(values) {
+        if *t >= from {
+            sum += v;
+            n += 1;
+        }
+    }
+    (n > 0).then(|| sum / n as f64)
+}
+
 /// Everything recorded about one server during a run.
+///
+/// The trace has one clock: the timestamps of `sensor_c`. Every other
+/// column is a plain value vector aligned with it — `die_c[k]`,
+/// `utilization[k]`, `power_w[k]` and `ambient_c[k]` were recorded at
+/// `sensor_c.times()[k]`. The engine appends to the value columns only
+/// after the sensor sample is accepted, so all five columns always have
+/// `sensor_c.len()` entries (48 bytes per server-step).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ServerTrace {
-    /// Noisy quantized sensor readings — what the learner sees.
+    /// Noisy quantized sensor readings — what the learner sees. Its
+    /// timestamps are the trace's clock.
     pub sensor_c: TimeSeries,
     /// True die temperature — ground truth for evaluation.
-    pub die_c: TimeSeries,
+    pub die_c: Vec<f64>,
     /// Aggregate CPU utilization in `[0, 1]`.
-    pub utilization: TimeSeries,
+    pub utilization: Vec<f64>,
     /// Power draw (W).
-    pub power_w: TimeSeries,
+    pub power_w: Vec<f64>,
     /// Ambient temperature the server saw (°C).
-    pub ambient_c: TimeSeries,
+    pub ambient_c: Vec<f64>,
 }
 
 impl ServerTrace {
@@ -191,6 +205,12 @@ impl ServerTrace {
     #[must_use]
     pub fn new() -> Self {
         ServerTrace::default()
+    }
+
+    /// Sample timestamps (seconds) shared by every column.
+    #[must_use]
+    pub fn times(&self) -> &[f64] {
+        self.sensor_c.times()
     }
 }
 

@@ -20,17 +20,9 @@ use serde::{Deserialize, Serialize};
 use vmtherm_obs::{self as obs, names};
 use vmtherm_units::{Celsius, Seconds, Watts};
 
+/// Exact count of RK4 substeps: one relaxed add per integrator call when
+/// the obs layer is enabled, nothing otherwise.
 static OBS_SUBSTEPS: obs::LazyCounter = obs::LazyCounter::new(names::METRIC_THERMAL_SUBSTEPS);
-
-std::thread_local! {
-    /// Substeps not yet flushed to [`OBS_SUBSTEPS`]; integrator calls are
-    /// per-server per-engine-step, so the counter is batched to keep the
-    /// hot path at an integer add.
-    static OBS_SUBSTEP_BACKLOG: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
-}
-
-/// Flush threshold for the batched substep counter.
-const OBS_SUBSTEP_FLUSH: u32 = 1024;
 
 /// Static parameters of the two-node network.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -166,17 +158,7 @@ impl ThermalNetwork {
         assert!(dt > 0.0, "step: non-positive dt");
         assert!(r_sink_amb > 0.0, "step: non-positive sink resistance");
         let substeps = dt.ceil().max(1.0) as usize;
-        if obs::enabled() {
-            OBS_SUBSTEP_BACKLOG.with(|backlog| {
-                let pending = backlog.get().saturating_add(substeps as u32);
-                if pending >= OBS_SUBSTEP_FLUSH {
-                    OBS_SUBSTEPS.add(u64::from(pending));
-                    backlog.set(0);
-                } else {
-                    backlog.set(pending);
-                }
-            });
-        }
+        OBS_SUBSTEPS.add(substeps as u64);
         let h = dt / substeps as f64;
         for _ in 0..substeps {
             self.state = rk4_step(

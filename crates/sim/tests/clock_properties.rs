@@ -42,16 +42,18 @@ fn scheduled_ambient_step_is_globally_clocked() {
     for s in 0..5 {
         let trace = sim.trace(ServerId::new(s)).unwrap();
         let before: Vec<f64> = trace
-            .ambient_c
+            .times()
             .iter()
-            .filter(|(t, _)| *t < 15.0)
-            .map(|(_, v)| v)
+            .zip(&trace.ambient_c)
+            .filter(|(t, _)| **t < 15.0)
+            .map(|(_, v)| *v)
             .collect();
         let after: Vec<f64> = trace
-            .ambient_c
+            .times()
             .iter()
-            .filter(|(t, _)| *t >= 15.0)
-            .map(|(_, v)| v)
+            .zip(&trace.ambient_c)
+            .filter(|(t, _)| **t >= 15.0)
+            .map(|(_, v)| *v)
             .collect();
         assert!(
             !before.is_empty() && !after.is_empty(),

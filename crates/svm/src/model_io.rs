@@ -422,4 +422,96 @@ mod tests {
         let text = "vmtherm-model svr v1\nkernel=linear\nbias=0\ndim=2\nnsv=1\n1.0 3.0\n";
         assert!(matches!(svr_from_string(text), Err(SvmError::Parse { .. })));
     }
+
+    /// Round-trip oracle over seeded random ε-SVR models (every kernel
+    /// family, feature scales from 1e-3 to 1e3) and scalers (both methods,
+    /// random ranges, a constant column): save → load → predict and
+    /// transform are bit-equal, and saving the loaded object reproduces
+    /// the text byte for byte.
+    #[test]
+    fn round_trip_is_bit_exact_on_random_models_and_scalers() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..24u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (l, d) = (rng.gen_range(3..=30usize), rng.gen_range(1..=6usize));
+            let scale = 10f64.powi(rng.gen_range(-3..=3));
+            let mut rows: Vec<Vec<f64>> = (0..l)
+                .map(|_| (0..d).map(|_| rng.gen_range(-1.0..1.0) * scale).collect())
+                .collect();
+            if d > 1 {
+                for row in &mut rows {
+                    row[d - 1] = 0.5;
+                }
+            }
+            let ys: Vec<f64> = rows
+                .iter()
+                .map(|x| x[0] / scale + rng.gen_range(-0.1..0.1))
+                .collect();
+            let probes: Vec<Vec<f64>> = (0..8)
+                .map(|_| (0..d).map(|_| rng.gen_range(-1.5..1.5) * scale).collect())
+                .chain(rows.iter().cloned())
+                .collect();
+            let ds = Dataset::from_parts(DenseMatrix::from_nested(rows).unwrap(), ys).unwrap();
+            // Kernel parameters sized to the feature scale so every family
+            // trains to a non-trivial model.
+            let gamma = rng.gen_range(0.05..2.0) / (scale * scale * d as f64);
+            let kernel = match seed % 4 {
+                0 => Kernel::Linear,
+                1 => Kernel::rbf(gamma),
+                2 => Kernel::Polynomial {
+                    gamma,
+                    coef0: rng.gen_range(0.0..1.0),
+                    degree: rng.gen_range(1..=3u32),
+                },
+                _ => Kernel::Sigmoid {
+                    gamma,
+                    coef0: rng.gen_range(-1.0..0.0),
+                },
+            };
+            // The property holds for any trained model, converged or not;
+            // the cap keeps the unscaled linear cases quick.
+            let params = SvrParams::new()
+                .with_c(rng.gen_range(0.1..100.0))
+                .with_epsilon(rng.gen_range(0.0..0.2))
+                .with_kernel(kernel)
+                .with_max_iterations(20_000);
+            let model = SvrModel::train(&ds, params).unwrap();
+            let text = svr_to_string(&model);
+            let back = svr_from_string(&text).unwrap();
+            assert_eq!(svr_to_string(&back), text, "seed {seed}: model re-save");
+            let queries = DenseMatrix::from_nested(probes.clone()).unwrap();
+            let batch = back.predict_batch(&queries).unwrap();
+            for (x, b) in probes.iter().zip(&batch) {
+                let want = model.predict(x).unwrap().to_bits();
+                assert_eq!(
+                    back.predict(x).unwrap().to_bits(),
+                    want,
+                    "seed {seed} at {x:?}"
+                );
+                assert_eq!(b.to_bits(), want, "seed {seed} batch at {x:?}");
+            }
+
+            let method = [ScaleMethod::MinMax, ScaleMethod::ZScore][seed as usize % 2];
+            let lower = rng.gen_range(-5.0..0.0);
+            let scaler =
+                Scaler::fit_with_range(&ds, method, lower, lower + rng.gen_range(0.5..5.0));
+            let text = scaler_to_string(&scaler);
+            let back = scaler_from_string(&text).unwrap();
+            assert_eq!(scaler_to_string(&back), text, "seed {seed}: scaler re-save");
+            let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            for x in &probes {
+                assert_eq!(
+                    bits(back.transform(x)),
+                    bits(scaler.transform(x)),
+                    "seed {seed}"
+                );
+                assert_eq!(
+                    bits(back.inverse_transform(x)),
+                    bits(scaler.inverse_transform(x)),
+                    "seed {seed}"
+                );
+            }
+        }
+    }
 }
