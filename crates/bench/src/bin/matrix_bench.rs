@@ -10,9 +10,10 @@
 //!   norm expansion reassociates the arithmetic),
 //! - `predict_dataset` throughput of a trained SVR, nested scalar replica
 //!   vs. the batched flat path,
-//! - `smo_solve_ns` before (the committed pre-refactor `BENCH_obs.json`
-//!   numbers) and after: a real solve-latency distribution from 30 SMO
-//!   solves (3 experiment campaigns x a 10-point hyper-parameter sweep).
+//! - `smo_solve_ns`: the solve-latency distribution of 30 SMO solves
+//!   (3 experiment campaigns x a 10-point hyper-parameter sweep), read
+//!   from the `vmtherm_smo_solve_ns` summary: count, P² p50/p99 and the
+//!   mean.
 //!
 //! Exact-path arms compute identical math in identical order, so their
 //! outputs are asserted bit-identical before anything is timed.
@@ -27,17 +28,11 @@ use std::hint::black_box;
 use std::time::Instant;
 use vmtherm_bench::training_campaign;
 use vmtherm_core::stable::{StablePredictor, TrainingOptions};
-use vmtherm_obs::{self as obs, json, names, Histogram, Json};
+use vmtherm_obs::{self as obs, json, names, Json};
 use vmtherm_svm::data::Dataset;
 use vmtherm_svm::kernel::Kernel;
 use vmtherm_svm::matrix::DenseMatrix;
 use vmtherm_svm::svr::{SvrModel, SvrParams};
-
-/// Pre-refactor `smo_solve_ns` quantiles from the committed
-/// `BENCH_obs.json` (the "before" side of the satellite comparison).
-const BASELINE_SMO_P50_NS: f64 = 750_000.0;
-/// See [`BASELINE_SMO_P50_NS`].
-const BASELINE_SMO_P99_NS: f64 = 995_000.0;
 
 /// Benchmark configuration: full run or the CI `--check` smoke.
 struct Opts {
@@ -307,18 +302,15 @@ fn main() {
     });
     let predict_cell = cell("predict_dataset", nested_rate, flat_rate);
 
-    // Re-measure smo_solve_ns with the BENCH_obs protocol (3 stable models,
-    // 30 experiments each) so before/after share a methodology.
-    let smo_after = if opts.check {
+    // 30 distinct SMO solves around the tuned point (3 campaigns x a C x
+    // epsilon sweep), so the quantiles describe a real solve-latency
+    // distribution instead of repeats of one configuration.
+    let smo = if opts.check {
         None
     } else {
         obs::global().reset();
         obs::set_enabled(true);
-        println!("\nre-measuring smo_solve_ns (3 campaigns x 10 hyper-parameter fits)...");
-        // 30 distinct SMO solves — three experiment campaigns, each fit
-        // across a C x epsilon sweep around the tuned point — so the
-        // "after" quantiles describe a real solve-latency distribution
-        // instead of three repeats of one configuration.
+        println!("\nmeasuring smo_solve_ns (3 campaigns x 10 hyper-parameter fits)...");
         for seed in 1..=3u64 {
             let outcomes = training_campaign(30, seed);
             for c in [16.0, 32.0, 64.0, 128.0, 256.0] {
@@ -334,18 +326,19 @@ fn main() {
             }
         }
         obs::set_enabled(false);
-        let h = obs::global().histogram(names::METRIC_SMO_SOLVE_NS, Histogram::ns_buckets);
+        let s = obs::global().summary(names::METRIC_SMO_SOLVE_NS);
         assert!(
-            h.count() >= 30,
+            s.count() >= 30,
             "expected >= 30 SMO solves, recorded {}",
-            h.count()
+            s.count()
         );
         println!(
-            "smo solves: {} (p50 {:.0} ns vs baseline {BASELINE_SMO_P50_NS:.0} ns)",
-            h.count(),
-            h.quantile(0.5)
+            "smo solves: {} (p50 {:.0} ns, p99 {:.0} ns)",
+            s.count(),
+            s.quantile(0.5),
+            s.quantile(0.99)
         );
-        Some(h)
+        Some(s)
     };
 
     let mut sections = vec![
@@ -377,26 +370,15 @@ fn main() {
         .chain(std::iter::once(predict_cell.2))
         .fold(f64::INFINITY, f64::min);
     sections.push(("layout_speedup", Json::Num(layout_speedup)));
-    let smo = Json::obj(vec![
-        (
-            "before",
-            Json::obj(vec![
-                ("p50_ns", Json::Num(BASELINE_SMO_P50_NS)),
-                ("p99_ns", Json::Num(BASELINE_SMO_P99_NS)),
-            ]),
-        ),
-        (
-            "after",
-            match &smo_after {
-                Some(h) => Json::obj(vec![
-                    ("count", Json::Num(h.count() as f64)),
-                    ("p50_ns", Json::Num(h.quantile(0.5))),
-                    ("p99_ns", Json::Num(h.quantile(0.99))),
-                ]),
-                None => Json::str("skipped (--check)"),
-            },
-        ),
-    ]);
+    let smo = match &smo {
+        Some(s) => Json::obj(vec![
+            ("count", Json::Num(s.count() as f64)),
+            ("p50_ns", Json::Num(s.quantile(0.5))),
+            ("p99_ns", Json::Num(s.quantile(0.99))),
+            ("mean_ns", Json::Num(s.sum() / s.count() as f64)),
+        ]),
+        None => Json::str("skipped (--check)"),
+    };
     sections.push(("smo_solve_ns", smo));
     let doc = Json::obj(sections);
 

@@ -9,10 +9,9 @@
 //!   bit-identical end-state check proving serving never perturbs the sim,
 //! - P² quantile-sketch update cost (ns/op), accuracy against exact
 //!   quantiles, and bit-identical determinism across repeated fills,
-//! - SMO solve time p50/p99 from the `vmtherm_smo_solve_duration_ns`
-//!   histogram,
-//! - calibration-update latency p50/p99 from
-//!   `vmtherm_calibration_update_duration_ns`,
+//! - SMO solve time p50/p99 from the `vmtherm_smo_solve_ns` summary,
+//! - calibration-update latency p50/p99 from the
+//!   `vmtherm_calibration_update_ns` summary,
 //! - scrape latency p50/p99 (µs) over repeated real TCP scrapes of the
 //!   populated registry.
 //!
@@ -27,7 +26,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vmtherm_bench::{dynamic_scenario, score_dynamic, train_stable_model, training_campaign};
-use vmtherm_obs::{self as obs, names, Histogram, Json, QuantileSketch, ScrapeServer};
+use vmtherm_obs::{self as obs, names, Json, QuantileSketch, ScrapeServer, Summary};
 use vmtherm_sim::workload::TaskProfile;
 use vmtherm_sim::{AmbientModel, Datacenter, ServerSpec, Simulation, VmSpec};
 use vmtherm_units::Celsius;
@@ -226,12 +225,20 @@ fn exact_quantile(sorted: &[f64], q: f64) -> f64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-fn hist_json(h: &Histogram) -> Json {
+/// Count, P² p50/p99 and mean (sum/count, 0 when empty) of a latency
+/// summary.
+fn summary_json(s: &Summary) -> Json {
+    let count = s.count();
+    let mean = if count == 0 {
+        0.0
+    } else {
+        s.sum() / count as f64
+    };
     Json::obj(vec![
-        ("count", Json::Num(h.count() as f64)),
-        ("p50_ns", Json::Num(h.quantile(0.5))),
-        ("p99_ns", Json::Num(h.quantile(0.99))),
-        ("mean_ns", Json::Num(h.mean())),
+        ("count", Json::Num(count as f64)),
+        ("p50_ns", Json::Num(s.quantile(0.5))),
+        ("p99_ns", Json::Num(s.quantile(0.99))),
+        ("mean_ns", Json::Num(mean)),
     ])
 }
 
@@ -337,7 +344,7 @@ fn main() {
         "P² estimate drifted {max_abs_err:.4} from exact quantiles"
     );
 
-    // Fill the solve/calibration histograms from a representative pipeline:
+    // Fill the solve/calibration summaries from a representative pipeline:
     // several SVR trainings plus one calibrated dynamic scenario.
     obs::global().reset();
     obs::reset_spans();
@@ -364,7 +371,7 @@ fn main() {
             let (lat, body) = scrape_once(addr);
             assert!(
                 body.contains(names::METRIC_SMO_SOLVE_NS),
-                "scrape is missing the populated histogram families"
+                "scrape is missing the populated summary families"
             );
             lat.as_secs_f64() * 1e6
         })
@@ -400,8 +407,8 @@ fn main() {
          throughput at {SCRAPE_CADENCE_HZ:.0} Hz"
     );
 
-    let smo = obs::global().histogram(names::METRIC_SMO_SOLVE_NS, Histogram::ns_buckets);
-    let cal = obs::global().histogram(names::METRIC_CALIBRATION_UPDATE_NS, Histogram::ns_buckets);
+    let smo = obs::global().summary(names::METRIC_SMO_SOLVE_NS);
+    let cal = obs::global().summary(names::METRIC_CALIBRATION_UPDATE_NS);
     println!(
         "smo solves: {} (p50 {:.0} ns, p99 {:.0} ns)",
         smo.count(),
@@ -451,8 +458,8 @@ fn main() {
                 ("deterministic", Json::Bool(true)),
             ]),
         ),
-        ("smo_solve_ns", hist_json(&smo)),
-        ("calibration_update_ns", hist_json(&cal)),
+        ("smo_solve_ns", summary_json(&smo)),
+        ("calibration_update_ns", summary_json(&cal)),
     ]);
     let mut text = doc.render_pretty();
     text.push('\n');

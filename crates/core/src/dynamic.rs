@@ -20,10 +20,8 @@ use vmtherm_units::constants::{PAPER_DELTA_UPDATE_SECS, PAPER_LAMBDA, PAPER_T_BR
 use vmtherm_units::{Celsius, Seconds};
 
 static OBS_GAMMA_UPDATES: obs::LazyCounter = obs::LazyCounter::new(names::METRIC_GAMMA_UPDATES);
-static OBS_CALIBRATION_NS: obs::LazyHistogram = obs::LazyHistogram::new(
-    names::METRIC_CALIBRATION_UPDATE_NS,
-    obs::Histogram::ns_buckets,
-);
+static OBS_CALIBRATION_NS: obs::LazySummary =
+    obs::LazySummary::new(names::METRIC_CALIBRATION_UPDATE_NS);
 
 /// Tunables of the dynamic predictor.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

@@ -22,10 +22,7 @@ static OBS_REANCHORS: obs::LazyCounter = obs::LazyCounter::new(names::METRIC_REA
 static OBS_SAMPLES: obs::LazyCounter = obs::LazyCounter::new(names::METRIC_SAMPLES_INGESTED);
 static OBS_ISSUED: obs::LazyCounter = obs::LazyCounter::new(names::METRIC_FORECASTS_ISSUED);
 static OBS_SCORED: obs::LazyCounter = obs::LazyCounter::new(names::METRIC_FORECASTS_SCORED);
-static OBS_ABS_ERR: obs::LazyHistogram = obs::LazyHistogram::new(
-    names::METRIC_FORECAST_ABS_ERR_C,
-    obs::Histogram::celsius_buckets,
-);
+static OBS_ABS_ERR: obs::LazySummary = obs::LazySummary::new(names::METRIC_FORECAST_ABS_ERR_C);
 static OBS_OOO: obs::LazyCounter = obs::LazyCounter::new(names::METRIC_MONITOR_OOO_ABSORBED);
 static OBS_SPIKES_REJECTED: obs::LazyCounter =
     obs::LazyCounter::new(names::METRIC_MONITOR_SPIKES_REJECTED);
@@ -1205,7 +1202,7 @@ mod tests {
             let sid = ServerId::new(i);
             let stats = monitor.stats(sid);
             assert!(
-                stats.scored > 0 && (stats.scored as usize) < super::ROLLING_WINDOW,
+                stats.scored > 0 && stats.scored < super::ROLLING_WINDOW,
                 "server {i} scored {}",
                 stats.scored
             );

@@ -1,7 +1,7 @@
 //! Declarative alert rules with hysteresis and for-duration windows.
 //!
 //! A rule names a metric family (and optionally a tracked quantile for
-//! histograms/summaries), a comparison, and a threshold:
+//! summaries), a comparison, and a threshold:
 //!
 //! ```text
 //! headroom: vmtherm_monitor_temp_headroom_c < 3 for 5
@@ -58,7 +58,7 @@ pub struct AlertRule {
     /// Metric family base name the rule reads (e.g.
     /// `vmtherm_monitor_temp_headroom_c`).
     pub metric: String,
-    /// Quantile to read for histogram/summary families (`.p95` → 0.95);
+    /// Quantile to read for summary families (`.p95` → 0.95);
     /// counters and gauges ignore it.
     pub quantile: Option<f64>,
     /// Comparison direction.

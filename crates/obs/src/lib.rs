@@ -3,8 +3,8 @@
 //! Three pillars, sized for an offline/vendored build where `tracing` and
 //! `prometheus` are unavailable:
 //!
-//! 1. a process-global [`Registry`] of counters, gauges, and fixed-bucket
-//!    histograms, exportable as Prometheus text or JSON ([`registry`]);
+//! 1. a process-global [`Registry`] of counters, gauges, and P² quantile
+//!    summaries, exportable as Prometheus text or JSON ([`registry`]);
 //! 2. a span/timer API ([`span()`]) with thread-local span stacks that
 //!    aggregates into a per-run timing tree;
 //! 3. a schema-versioned JSONL event log ([`event`]) with a ring-buffer
@@ -12,7 +12,7 @@
 //!    subcommand).
 //!
 //! The whole layer is **off by default**. Instrumented hot paths go through
-//! [`LazyCounter`] / [`LazyGauge`] / [`LazyHistogram`] handles or [`span()`]
+//! [`LazyCounter`] / [`LazyGauge`] / [`LazySummary`] handles or [`span()`]
 //! guards, all of which check one relaxed atomic load first — when disabled,
 //! instrumentation costs a branch and nothing else, and nothing allocates.
 
@@ -36,7 +36,7 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 pub use alert::{AlertEngine, AlertEvent, AlertRule, Cmp};
 pub use event::{EventLog, ObsEvent, TraceMode, SCHEMA_VERSION};
 pub use json::Json;
-pub use registry::{Counter, Gauge, Histogram, Registry, Summary};
+pub use registry::{Counter, Gauge, Registry, Summary};
 pub use serve::ScrapeServer;
 pub use sketch::{MergedQuantiles, QuantileSketch};
 pub use span::{reset_spans, span, span_stats, SpanGuard, SpanStat};
@@ -334,81 +334,6 @@ impl LazyGauge {
     }
 }
 
-/// A histogram handle resolved against the global registry on first use.
-pub struct LazyHistogram {
-    name: &'static str,
-    bounds: fn() -> Vec<f64>,
-    cell: OnceLock<Histogram>,
-}
-
-impl LazyHistogram {
-    /// Declares a histogram bound to `name` with the given bucket bounds.
-    pub const fn new(name: &'static str, bounds: fn() -> Vec<f64>) -> LazyHistogram {
-        LazyHistogram {
-            name,
-            bounds,
-            cell: OnceLock::new(),
-        }
-    }
-
-    fn handle(&self) -> &Histogram {
-        self.cell
-            .get_or_init(|| global().histogram(self.name, self.bounds))
-    }
-
-    /// Records one observation when the layer is enabled.
-    #[inline]
-    pub fn observe(&self, value: f64) {
-        if enabled() {
-            self.handle().observe(value);
-        }
-    }
-
-    /// Starts a wall-clock timer whose elapsed nanoseconds are recorded on
-    /// drop. When the layer is disabled the timer holds no timestamp and its
-    /// drop is a branch on `None`.
-    #[inline]
-    pub fn start_timer(&'static self) -> HistTimer {
-        HistTimer {
-            hist: self,
-            start: enabled().then(std::time::Instant::now),
-        }
-    }
-}
-
-/// RAII timer from [`LazyHistogram::start_timer`].
-pub struct HistTimer {
-    hist: &'static LazyHistogram,
-    start: Option<std::time::Instant>,
-}
-
-impl HistTimer {
-    /// Stops the timer and returns the elapsed nanoseconds it recorded,
-    /// or `None` when the layer was disabled at start.
-    pub fn stop(mut self) -> Option<u64> {
-        self.finish()
-    }
-
-    /// Discards the timer without recording anything — for sites that only
-    /// want to time an operation when it actually took effect.
-    pub fn cancel(mut self) {
-        self.start = None;
-    }
-
-    fn finish(&mut self) -> Option<u64> {
-        let start = self.start.take()?;
-        let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.hist.observe(ns as f64);
-        Some(ns)
-    }
-}
-
-impl Drop for HistTimer {
-    fn drop(&mut self) {
-        let _ = self.finish();
-    }
-}
-
 /// A summary (quantile-sketch) handle resolved against the global registry
 /// on first use.
 pub struct LazySummary {
@@ -456,12 +381,30 @@ pub struct SummaryTimer {
     start: Option<std::time::Instant>,
 }
 
+impl SummaryTimer {
+    /// Stops the timer and returns the elapsed nanoseconds it recorded,
+    /// or `None` when the layer was disabled at start.
+    pub fn stop(mut self) -> Option<u64> {
+        self.finish()
+    }
+
+    /// Discards the timer without recording anything — for sites that only
+    /// want to time an operation when it actually took effect.
+    pub fn cancel(mut self) {
+        self.start = None;
+    }
+
+    fn finish(&mut self) -> Option<u64> {
+        let start = self.start.take()?;
+        let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.summary.observe(ns as f64);
+        Some(ns)
+    }
+}
+
 impl Drop for SummaryTimer {
     fn drop(&mut self) {
-        if let Some(start) = self.start.take() {
-            let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.summary.observe(ns as f64);
-        }
+        let _ = self.finish();
     }
 }
 
@@ -486,23 +429,25 @@ mod tests {
     fn lazy_handles_record_when_enabled() {
         let _lock = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         static C: LazyCounter = LazyCounter::new("lib_test_enabled_total");
-        static H: LazyHistogram = LazyHistogram::new("lib_test_ns", Histogram::ns_buckets);
+        static S: LazySummary = LazySummary::new("lib_test_ns");
         static G: LazyGauge = LazyGauge::new("lib_test_gauge");
         set_enabled(true);
         C.add(3);
         G.set(7.5);
         {
-            let _t = H.start_timer();
+            let _t = S.start_timer();
         }
+        let stopped = S.start_timer().stop().expect("enabled timer records");
+        S.start_timer().cancel();
         set_enabled(false);
+        assert_eq!(S.start_timer().stop(), None);
         assert_eq!(global().counter("lib_test_enabled_total").get(), 3);
         assert_eq!(global().gauge("lib_test_gauge").get(), 7.5);
-        assert_eq!(
-            global()
-                .histogram("lib_test_ns", Histogram::ns_buckets)
-                .count(),
-            1
-        );
+        // The dropped and the stopped timer record; the cancelled one and
+        // the one started while disabled do not.
+        let summary = global().summary("lib_test_ns");
+        assert_eq!(summary.count(), 2);
+        assert!(summary.sum() >= stopped as f64);
     }
 
     #[test]

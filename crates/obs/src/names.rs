@@ -10,13 +10,13 @@
 
 /// Engine steps executed (counter).
 pub const METRIC_ENGINE_STEPS: &str = "vmtherm_engine_steps_total";
-/// Wall-clock nanoseconds per engine step (histogram, ns buckets).
+/// Wall-clock nanoseconds per sampled engine step (summary, one step in 64).
 pub const METRIC_ENGINE_STEP_NS: &str = "vmtherm_engine_step_ns";
 /// Simulation events applied by the engine (counter).
 pub const METRIC_ENGINE_EVENTS: &str = "vmtherm_engine_events_total";
 /// RK4 substeps run by the thermal integrator (counter).
 pub const METRIC_THERMAL_SUBSTEPS: &str = "vmtherm_thermal_substeps_total";
-/// Wall-clock nanoseconds per SMO solve (histogram, ns buckets).
+/// Wall-clock nanoseconds per SMO solve (summary).
 pub const METRIC_SMO_SOLVE_NS: &str = "vmtherm_smo_solve_ns";
 /// SMO optimizer iterations across all solves (counter).
 pub const METRIC_SMO_ITERATIONS: &str = "vmtherm_smo_iterations_total";
@@ -26,7 +26,7 @@ pub const METRIC_KERNEL_CACHE_HITS: &str = "vmtherm_kernel_cache_hits_total";
 pub const METRIC_KERNEL_CACHE_MISSES: &str = "vmtherm_kernel_cache_misses_total";
 /// Cross-validation folds trained (counter).
 pub const METRIC_CV_FOLDS: &str = "vmtherm_cv_folds_total";
-/// Wall-clock nanoseconds per calibration (γ) update (histogram, ns buckets).
+/// Wall-clock nanoseconds per calibration (γ) update (summary).
 pub const METRIC_CALIBRATION_UPDATE_NS: &str = "vmtherm_calibration_update_ns";
 /// Calibration (γ) updates applied (counter).
 pub const METRIC_GAMMA_UPDATES: &str = "vmtherm_gamma_updates_total";
@@ -38,7 +38,7 @@ pub const METRIC_SAMPLES_INGESTED: &str = "vmtherm_samples_ingested_total";
 pub const METRIC_FORECASTS_ISSUED: &str = "vmtherm_forecasts_issued_total";
 /// Forecasts scored against matured ground truth (counter).
 pub const METRIC_FORECASTS_SCORED: &str = "vmtherm_forecasts_scored_total";
-/// Absolute forecast error in °C (histogram, °C buckets).
+/// Absolute forecast error in °C (summary).
 pub const METRIC_FORECAST_ABS_ERR_C: &str = "vmtherm_forecast_abs_err_celsius";
 
 /// Base name of the per-server rolling-MSE gauge (°C²).

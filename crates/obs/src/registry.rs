@@ -1,9 +1,8 @@
-//! Metrics registry: counters, gauges, fixed-bucket histograms, and
-//! quantile-sketch summaries.
+//! Metrics registry: counters, gauges, and quantile-sketch summaries.
 //!
-//! Handles (`Counter`, `Gauge`, `Histogram`, `Summary`) are cheap
-//! `Arc`-backed clones that write with relaxed atomics (summaries take a
-//! short uncontended lock around their sketch); the registry itself is a
+//! Handles (`Counter`, `Gauge`, `Summary`) are cheap `Arc`-backed clones;
+//! counters and gauges write with relaxed atomics and summaries take a
+//! short uncontended lock around their sketch. The registry itself is a
 //! name → metric map behind a mutex that is only locked on registration and
 //! on export. Snapshots render as Prometheus text exposition format or as
 //! JSON.
@@ -71,173 +70,6 @@ impl Gauge {
     }
 }
 
-struct HistogramInner {
-    /// Upper bounds of each bucket, ascending; an implicit +Inf bucket
-    /// follows the last bound.
-    bounds: Vec<f64>,
-    /// counts[i] observations fell in bucket i (<= bounds[i]); the final
-    /// element counts observations above every bound.
-    counts: Vec<AtomicU64>,
-    /// Sum of all observed values, stored as f64 bits and updated by CAS.
-    sum_bits: AtomicU64,
-    /// Smallest and largest observed values (f64 bits, updated by CAS);
-    /// +Inf / -Inf while empty.
-    min_bits: AtomicU64,
-    max_bits: AtomicU64,
-    /// Total number of observations.
-    count: AtomicU64,
-}
-
-/// Replaces the f64 stored as bits in `cell` with `f(current)`.
-fn update_f64(cell: &AtomicU64, f: impl Fn(f64) -> f64) {
-    let mut cur = cell.load(Ordering::Relaxed);
-    loop {
-        let next = f(f64::from_bits(cur)).to_bits();
-        if next == cur {
-            return;
-        }
-        match cell.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(actual) => cur = actual,
-        }
-    }
-}
-
-/// A fixed-bucket histogram.
-#[derive(Clone)]
-pub struct Histogram(Arc<HistogramInner>);
-
-impl std::fmt::Debug for Histogram {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Histogram")
-            .field("count", &self.count())
-            .field("sum", &self.sum())
-            .finish()
-    }
-}
-
-impl Histogram {
-    /// Creates a histogram with the given ascending bucket upper bounds.
-    pub fn with_bounds(bounds: Vec<f64>) -> Histogram {
-        let counts = (0..bounds.len() + 1).map(|_| AtomicU64::new(0)).collect();
-        Histogram(Arc::new(HistogramInner {
-            bounds,
-            counts,
-            sum_bits: AtomicU64::new(0.0_f64.to_bits()),
-            min_bits: AtomicU64::new(f64::INFINITY.to_bits()),
-            max_bits: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
-            count: AtomicU64::new(0),
-        }))
-    }
-
-    /// Buckets tuned for nanosecond-scale timings (100ns … 10s).
-    pub fn ns_buckets() -> Vec<f64> {
-        vec![
-            1e2, 2.5e2, 5e2, 1e3, 2.5e3, 5e3, 1e4, 2.5e4, 5e4, 1e5, 2.5e5, 5e5, 1e6, 2.5e6, 5e6,
-            1e7, 2.5e7, 5e7, 1e8, 2.5e8, 5e8, 1e9, 1e10,
-        ]
-    }
-
-    /// Buckets tuned for °C error magnitudes (0.01 °C … 50 °C).
-    pub fn celsius_buckets() -> Vec<f64> {
-        vec![
-            0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 7.5, 10.0, 15.0, 25.0, 50.0,
-        ]
-    }
-
-    /// Records one observation.
-    pub fn observe(&self, value: f64) {
-        let inner = &self.0;
-        let idx = inner.bounds.partition_point(|b| value > *b);
-        inner.counts[idx].fetch_add(1, Ordering::Relaxed);
-        inner.count.fetch_add(1, Ordering::Relaxed);
-        update_f64(&inner.sum_bits, |sum| sum + value);
-        update_f64(&inner.min_bits, |min| min.min(value));
-        update_f64(&inner.max_bits, |max| max.max(value));
-    }
-
-    /// Total number of observations.
-    pub fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> f64 {
-        f64::from_bits(self.0.sum_bits.load(Ordering::Relaxed))
-    }
-
-    /// Smallest observation, +Inf when empty.
-    fn min(&self) -> f64 {
-        f64::from_bits(self.0.min_bits.load(Ordering::Relaxed))
-    }
-
-    /// Largest observation, -Inf when empty.
-    fn max(&self) -> f64 {
-        f64::from_bits(self.0.max_bits.load(Ordering::Relaxed))
-    }
-
-    /// Mean of all observations, or 0 when empty.
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum() / n as f64
-        }
-    }
-
-    /// Estimates the `q`-quantile (0 ≤ q ≤ 1) by linear interpolation within
-    /// the containing bucket, clamped to the observed `[min, max]` range so
-    /// no estimate lies outside the data. Returns 0 when the histogram is
-    /// empty.
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.count() == 0 {
-            return 0.0;
-        }
-        let estimate = self.interpolate(q);
-        let (min, max) = (self.min(), self.max());
-        // A concurrent first observation may have bumped the count before
-        // publishing its min/max; fall back to the bare estimate then.
-        if min <= max {
-            estimate.max(min).min(max)
-        } else {
-            estimate
-        }
-    }
-
-    /// Bucket-bound interpolation behind [`Histogram::quantile`].
-    fn interpolate(&self, q: f64) -> f64 {
-        let inner = &self.0;
-        let total = self.count();
-        let rank = q.clamp(0.0, 1.0) * total as f64;
-        let mut cumulative = 0u64;
-        for (i, c) in inner.counts.iter().enumerate() {
-            let in_bucket = c.load(Ordering::Relaxed);
-            let next = cumulative + in_bucket;
-            if (next as f64) >= rank && in_bucket > 0 {
-                let lo = if i == 0 { 0.0 } else { inner.bounds[i - 1] };
-                let hi = inner.bounds.get(i).copied().unwrap_or(lo);
-                let frac = ((rank - cumulative as f64) / in_bucket as f64).clamp(0.0, 1.0);
-                return lo + (hi - lo) * frac;
-            }
-            cumulative = next;
-        }
-        inner.bounds.last().copied().unwrap_or(0.0)
-    }
-
-    fn snapshot(&self) -> (Vec<(f64, u64)>, u64, f64) {
-        let inner = &self.0;
-        let mut cumulative = 0u64;
-        let mut buckets = Vec::with_capacity(inner.bounds.len() + 1);
-        for (i, c) in inner.counts.iter().enumerate() {
-            cumulative += c.load(Ordering::Relaxed);
-            let bound = inner.bounds.get(i).copied().unwrap_or(f64::INFINITY);
-            buckets.push((bound, cumulative));
-        }
-        (buckets, self.count(), self.sum())
-    }
-}
-
 /// A streaming quantile summary backed by a deterministic P² sketch
 /// ([`QuantileSketch`]); exported as Prometheus `summary` lines with
 /// p50/p95/p99 `quantile` labels.
@@ -293,7 +125,6 @@ impl Summary {
 enum Metric {
     Counter(Counter),
     Gauge(Gauge),
-    Histogram(Histogram),
     Summary(Summary),
 }
 
@@ -341,19 +172,6 @@ impl Registry {
         }
     }
 
-    /// Returns the histogram registered under `name`, creating it with the
-    /// given bounds on first use.
-    pub fn histogram(&self, name: &str, bounds: fn() -> Vec<f64>) -> Histogram {
-        let mut map = self.lock();
-        match map
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(Histogram::with_bounds(bounds())))
-        {
-            Metric::Histogram(h) => h.clone(),
-            _ => Histogram::with_bounds(bounds()),
-        }
-    }
-
     /// Returns the summary registered under `name`, creating it on first
     /// use. Summaries estimate p50/p95/p99 with a deterministic fixed-size
     /// P² sketch (see [`crate::sketch`]).
@@ -377,17 +195,6 @@ impl Registry {
             match metric {
                 Metric::Counter(c) => c.0.store(0, Ordering::Relaxed),
                 Metric::Gauge(g) => g.0.store(0.0_f64.to_bits(), Ordering::Relaxed),
-                Metric::Histogram(h) => {
-                    for c in &h.0.counts {
-                        c.store(0, Ordering::Relaxed);
-                    }
-                    h.0.sum_bits.store(0.0_f64.to_bits(), Ordering::Relaxed);
-                    h.0.min_bits
-                        .store(f64::INFINITY.to_bits(), Ordering::Relaxed);
-                    h.0.max_bits
-                        .store(f64::NEG_INFINITY.to_bits(), Ordering::Relaxed);
-                    h.0.count.store(0, Ordering::Relaxed);
-                }
                 Metric::Summary(s) => s.lock().reset(),
             }
         }
@@ -402,9 +209,9 @@ impl Registry {
     ///
     /// Families (metrics sharing a base name, e.g. per-server labelled
     /// gauges) are grouped under a single `# HELP`/`# TYPE` header pair;
-    /// histograms and summaries emit their full triplet (`_bucket`s with a
-    /// closing `+Inf` / `quantile` series, then `_sum` and `_count`) with
-    /// any embedded labels preserved on every line.
+    /// summaries emit their full triplet (the `quantile` series, then
+    /// `_sum` and `_count`) with any embedded labels preserved on every
+    /// line.
     pub fn to_prometheus(&self) -> String {
         let map = self.lock();
         // Group by family so `# TYPE` appears exactly once per base name
@@ -425,7 +232,6 @@ impl Registry {
             let kind = match members[0].1 {
                 Metric::Counter(_) => "counter",
                 Metric::Gauge(_) => "gauge",
-                Metric::Histogram(_) => "histogram",
                 Metric::Summary(_) => "summary",
             };
             out.push_str(&format!("# TYPE {base} {kind}\n"));
@@ -437,20 +243,6 @@ impl Registry {
                     }
                     Metric::Gauge(g) => {
                         out.push_str(&format!("{name} {}\n", g.get()));
-                    }
-                    Metric::Histogram(h) => {
-                        let (buckets, count, sum) = h.snapshot();
-                        for (bound, cumulative) in &buckets {
-                            let le = if bound.is_finite() {
-                                format!("{bound}")
-                            } else {
-                                "+Inf".to_string()
-                            };
-                            let series = with_label(base, "_bucket", labels, "le", &le);
-                            out.push_str(&format!("{series} {cumulative}\n"));
-                        }
-                        out.push_str(&format!("{} {sum}\n", suffixed(base, "_sum", labels)));
-                        out.push_str(&format!("{} {count}\n", suffixed(base, "_count", labels)));
                     }
                     Metric::Summary(s) => {
                         for (q, est) in s.quantiles() {
@@ -472,8 +264,8 @@ impl Registry {
 
     /// Numeric snapshot of every metric whose family base name is `base`,
     /// as `(full key, value)` pairs in sorted key order. Counters and
-    /// gauges yield their value; histograms and summaries yield the
-    /// `q`-quantile (default p99). This is the read API the alert engine
+    /// gauges yield their value; summaries yield the `q`-quantile
+    /// (default p99). This is the read API the alert engine
     /// evaluates rules against.
     pub fn family_values(&self, base: &str, q: Option<f64>) -> Vec<(String, f64)> {
         let q = q.unwrap_or(0.99);
@@ -484,7 +276,6 @@ impl Registry {
                 let value = match metric {
                     Metric::Counter(c) => c.get() as f64,
                     Metric::Gauge(g) => g.get(),
-                    Metric::Histogram(h) => h.quantile(q),
                     Metric::Summary(s) => s.quantile(q),
                 };
                 (name.clone(), value)
@@ -506,26 +297,6 @@ impl Registry {
                     ("type", Json::str("gauge")),
                     ("value", Json::Num(g.get())),
                 ]),
-                Metric::Histogram(h) => {
-                    let (buckets, count, sum) = h.snapshot();
-                    let bucket_json = buckets
-                        .iter()
-                        .map(|(bound, cumulative)| {
-                            Json::obj(vec![
-                                ("le", Json::Num(*bound)),
-                                ("cumulative", Json::Num(*cumulative as f64)),
-                            ])
-                        })
-                        .collect();
-                    Json::obj(vec![
-                        ("type", Json::str("histogram")),
-                        ("count", Json::Num(count as f64)),
-                        ("sum", Json::Num(sum)),
-                        ("p50", Json::Num(h.quantile(0.5))),
-                        ("p99", Json::Num(h.quantile(0.99))),
-                        ("buckets", Json::Arr(bucket_json)),
-                    ])
-                }
                 Metric::Summary(s) => {
                     let [(_, p50), (_, p95), (_, p99)] = s.quantiles();
                     Json::obj(vec![
@@ -623,51 +394,63 @@ mod tests {
         assert_eq!(reg.gauge("temp").get(), 42.5);
     }
 
-    #[test]
-    fn histogram_quantiles_interpolate() {
-        let h = Histogram::with_bounds(vec![10.0, 20.0, 30.0]);
-        for v in [5.0, 15.0, 25.0, 25.0] {
-            h.observe(v);
+    /// Every quantile a registry exports for the summary `name`: the
+    /// Prometheus `quantile` lines, the JSON p50/p95/p99 fields and
+    /// `family_values` at each tracked q.
+    fn exported_quantiles(reg: &Registry, name: &str) -> Vec<f64> {
+        let mut out = Vec::new();
+        let text = reg.to_prometheus();
+        for line in text.lines() {
+            if line.starts_with(&format!("{name}{{quantile=")) {
+                let value = line.rsplit(' ').next().expect("sample value");
+                out.push(value.parse::<f64>().expect("numeric sample"));
+            }
         }
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.sum(), 70.0);
-        let p50 = h.quantile(0.5);
-        assert!((10.0..=20.0).contains(&p50), "p50 = {p50}");
-        let p99 = h.quantile(0.99);
-        assert!((20.0..=30.0).contains(&p99), "p99 = {p99}");
+        assert_eq!(out.len(), 3, "{text}");
+        let json = reg.to_json();
+        let entry = json.get(name).expect("summary in JSON");
+        for field in ["p50", "p95", "p99"] {
+            out.push(entry.get(field).and_then(Json::as_num).expect(field));
+        }
+        for q in crate::sketch::TRACKED_QUANTILES {
+            out.push(reg.family_values(name, Some(q))[0].1);
+        }
+        out
     }
 
     #[test]
-    fn histogram_quantiles_stay_within_observed_range() {
-        // One 649 µs call: bucket interpolation alone would report 750 µs.
-        let single = Histogram::with_bounds(Histogram::ns_buckets());
-        single.observe(649_000.0);
-        for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
-            assert_eq!(single.quantile(q), 649_000.0, "q = {q}");
+    fn summary_quantiles_stay_within_observed_range() {
+        let reg = Registry::new();
+        // One 649 µs call: every quantile is that call.
+        reg.summary("single_ns").observe(649_000.0);
+        for est in exported_quantiles(&reg, "single_ns") {
+            assert_eq!(est, 649_000.0);
         }
-        // Beyond the top bound the estimate is the observed maximum, not
-        // the last bucket bound.
-        let over = Histogram::with_bounds(vec![1.0, 10.0]);
-        over.observe(13.8);
-        assert_eq!(over.quantile(0.5), 13.8);
-        let spread = Histogram::with_bounds(Histogram::ns_buckets());
-        for v in [120.0, 3_000.0, 3_100.0, 70_000.0, 9.0e6] {
-            spread.observe(v);
+        // One 13.82 s call, the length of a traced grid-search training.
+        reg.summary("long_ns").observe(13.82e9);
+        for est in exported_quantiles(&reg, "long_ns") {
+            assert_eq!(est, 13.82e9);
         }
-        assert_eq!((spread.min(), spread.max()), (120.0, 9.0e6));
-        for q in [0.0, 0.1, 0.5, 0.9, 0.99, 1.0] {
-            let est = spread.quantile(q);
-            assert!((120.0..=9.0e6).contains(&est), "q = {q}: {est}");
+        // A skewed latency stream: mostly ~3 µs, a few ms-scale outliers.
+        let skewed = reg.summary("skewed_ns");
+        let mut values = Vec::new();
+        for i in 0..500_u32 {
+            let v = if i % 97 == 0 {
+                9.0e6 + f64::from(i) * 1e3
+            } else {
+                3_000.0 + f64::from(i % 13) * 10.0
+            };
+            values.push(v);
+            skewed.observe(v);
         }
-    }
-
-    #[test]
-    fn histogram_overflow_bucket_counts() {
-        let h = Histogram::with_bounds(vec![1.0]);
-        h.observe(100.0);
-        let (buckets, count, _) = h.snapshot();
-        assert_eq!(count, 1);
-        assert_eq!(buckets, vec![(1.0, 0), (f64::INFINITY, 1)]);
+        values.push(120.0);
+        skewed.observe(120.0);
+        let min = values.iter().copied().fold(f64::INFINITY, f64::min);
+        let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        assert_eq!(skewed.count(), 501);
+        for est in exported_quantiles(&reg, "skewed_ns") {
+            assert!((min..=max).contains(&est), "{est} outside [{min}, {max}]");
+        }
     }
 
     #[test]
@@ -675,25 +458,26 @@ mod tests {
         let reg = Registry::new();
         reg.counter("a_total").inc();
         reg.gauge("b{server=\"0\"}").set(1.5);
-        reg.histogram("c_ns", Histogram::ns_buckets).observe(300.0);
+        reg.summary("c_ns").observe(300.0);
         let text = reg.to_prometheus();
         assert!(text.contains("# TYPE a_total counter"));
         assert!(text.contains("a_total 1"));
         assert!(text.contains("# TYPE b gauge"));
         assert!(text.contains("b{server=\"0\"} 1.5"));
-        assert!(text.contains("c_ns_bucket{le=\"+Inf\"} 1"));
+        assert!(text.contains("# TYPE c_ns summary"));
+        assert!(text.contains("c_ns{quantile=\"0.99\"} 300"));
         assert!(text.contains("c_ns_count 1"));
     }
 
     #[test]
     fn json_snapshot_has_quantiles() {
         let reg = Registry::new();
-        let h = reg.histogram("h", || vec![1.0, 2.0]);
-        h.observe(1.5);
+        reg.summary("s").observe(1.5);
         let json = reg.to_json();
-        let entry = json.get("h").expect("h present");
-        assert_eq!(entry.get("type").and_then(Json::as_str), Some("histogram"));
+        let entry = json.get("s").expect("s present");
+        assert_eq!(entry.get("type").and_then(Json::as_str), Some("summary"));
         assert_eq!(entry.get("count").and_then(Json::as_num), Some(1.0));
+        assert_eq!(entry.get("p99").and_then(Json::as_num), Some(1.5));
     }
 
     #[test]
@@ -729,24 +513,26 @@ mod tests {
     }
 
     #[test]
-    fn labelled_histograms_and_summaries_keep_labels_on_every_line() {
+    fn labelled_summaries_keep_labels_on_every_line() {
         let reg = Registry::new();
-        reg.histogram("h_ns{server=\"2\"}", || vec![1.0])
-            .observe(5.0);
         reg.summary("s_c{server=\"3\"}").observe(1.0);
+        reg.summary("s_c{server=\"4\"}").observe(5.0);
         let text = reg.to_prometheus();
-        assert!(text.contains("# TYPE h_ns histogram"), "{text}");
-        assert!(
-            text.contains("h_ns_bucket{server=\"2\",le=\"+Inf\"} 1"),
-            "{text}"
-        );
-        assert!(text.contains("h_ns_sum{server=\"2\"} 5"), "{text}");
-        assert!(text.contains("h_ns_count{server=\"2\"} 1"), "{text}");
-        assert!(
-            text.contains("s_c{server=\"3\",quantile=\"0.5\"} 1"),
-            "{text}"
-        );
-        assert!(text.contains("s_c_count{server=\"3\"} 1"), "{text}");
+        assert_eq!(text.matches("# TYPE s_c summary").count(), 1, "{text}");
+        for (server, v) in [(3, 1), (4, 5)] {
+            for q in ["0.5", "0.95", "0.99"] {
+                let line = format!("s_c{{server=\"{server}\",quantile=\"{q}\"}} {v}");
+                assert!(text.contains(&line), "{text}");
+            }
+            assert!(
+                text.contains(&format!("s_c_sum{{server=\"{server}\"}} {v}")),
+                "{text}"
+            );
+            assert!(
+                text.contains(&format!("s_c_count{{server=\"{server}\"}} 1")),
+                "{text}"
+            );
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 
 use crate::event::ObsEvent;
 use crate::json;
-use crate::registry::Histogram;
+use crate::sketch::QuantileSketch;
 use crate::span::SpanStat;
 
 /// One rejected JSONL line.
@@ -61,9 +61,9 @@ pub struct TraceReport {
     pub cmds: Vec<String>,
     /// Aggregated span timings keyed by slash-joined path.
     pub spans: BTreeMap<String, SpanStat>,
-    /// Per-path duration histograms (ns buckets) backing the interpolated
-    /// p50/p95/p99 columns in [`render`].
-    pub span_hists: BTreeMap<String, Histogram>,
+    /// Per-path duration sketches backing the p50/p95/p99 columns in
+    /// [`render`].
+    pub span_hists: BTreeMap<String, QuantileSketch>,
     /// Fault-injection events per channel (`stuck`, `spike`, …).
     pub faults: BTreeMap<String, u64>,
     /// Alert firings per rule name.
@@ -135,7 +135,7 @@ pub fn summarize(events: &[ObsEvent]) -> TraceReport {
                 report
                     .span_hists
                     .entry(path.clone())
-                    .or_insert_with(|| Histogram::with_bounds(Histogram::ns_buckets()))
+                    .or_default()
                     .observe(*dur_ns as f64);
             }
             ObsEvent::SmoSolve {
@@ -450,22 +450,43 @@ mod tests {
     }
 
     #[test]
-    fn span_quantile_columns_render_from_bucket_counts() {
-        let events: Vec<ObsEvent> = (0..100)
+    fn span_quantile_columns_stay_within_observed_range() {
+        let mut events: Vec<ObsEvent> = (0..100)
             .map(|i| ObsEvent::Span {
                 path: "engine_run".to_string(),
-                dur_ns: 1_000 + i * 10,
+                dur_ns: if i % 10 == 0 {
+                    2_000_000 + i
+                } else {
+                    1_000 + i * 10
+                },
             })
             .collect();
+        events.push(ObsEvent::Span {
+            path: "stable_train".to_string(),
+            dur_ns: 13_820_000_000,
+        });
         let report = summarize(&events);
-        let h = report.span_hists.get("engine_run").expect("hist built");
-        assert_eq!(h.count(), 100);
-        let p50 = h.quantile(0.5);
-        assert!((1_000.0..=2_500.0).contains(&p50), "p50 = {p50}");
+        let skewed = report.span_hists.get("engine_run").expect("sketch built");
+        assert_eq!(skewed.count(), 100);
+        let (min, max) = (skewed.min(), skewed.max());
+        assert_eq!((min, max), (1_010.0, 2_000_090.0));
+        for (q, est) in skewed.quantiles() {
+            assert!((min..=max).contains(&est), "q = {q}: {est}");
+        }
+        // A single call reads as itself in every column.
+        let single = report.span_hists.get("stable_train").expect("sketch built");
+        for (q, est) in single.quantiles() {
+            assert_eq!(est, 13.82e9, "q = {q}");
+        }
         let text = render(&report);
-        assert!(text.contains("p50"), "{text}");
-        assert!(text.contains("p95"), "{text}");
-        assert!(text.contains("p99"), "{text}");
+        let line = text
+            .lines()
+            .find(|l| l.contains("stable_train"))
+            .expect("stable_train row");
+        assert!(
+            line.ends_with("p50    13.82s  p95    13.82s  p99    13.82s"),
+            "{text}"
+        );
     }
 
     #[test]

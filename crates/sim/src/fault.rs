@@ -677,6 +677,9 @@ mod tests {
         Seconds::new(v)
     }
 
+    /// Builds a channel's fault plan from a seed.
+    type PlanMaker = Box<dyn Fn(u64) -> FaultPlan>;
+
     fn c(v: f64) -> Celsius {
         Celsius::new(v)
     }
@@ -724,7 +727,7 @@ mod tests {
     /// different seed → different stream.
     #[test]
     fn every_channel_is_deterministic_per_seed() {
-        let plans: Vec<(&str, Box<dyn Fn(u64) -> FaultPlan>)> = vec![
+        let plans: Vec<(&str, PlanMaker)> = vec![
             (
                 "dropout",
                 Box::new(|seed| {

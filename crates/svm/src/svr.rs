@@ -10,8 +10,7 @@ use crate::smo::{self, QMatrix, SolveOptions};
 use serde::{Deserialize, Serialize};
 use vmtherm_obs::{self as obs, names, ObsEvent};
 
-static OBS_SOLVE_NS: obs::LazyHistogram =
-    obs::LazyHistogram::new(names::METRIC_SMO_SOLVE_NS, obs::Histogram::ns_buckets);
+static OBS_SOLVE_NS: obs::LazySummary = obs::LazySummary::new(names::METRIC_SMO_SOLVE_NS);
 static OBS_ITERATIONS: obs::LazyCounter = obs::LazyCounter::new(names::METRIC_SMO_ITERATIONS);
 static OBS_CACHE_HITS: obs::LazyCounter = obs::LazyCounter::new(names::METRIC_KERNEL_CACHE_HITS);
 static OBS_CACHE_MISSES: obs::LazyCounter =
